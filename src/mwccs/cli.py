@@ -2,7 +2,7 @@
 
 Exit codes: 0 success / member, 2 infeasible or non-member, 3 size-cap
 refusal, 64 usage or argument error, 65 instance parse error, 70 internal
-validation failure.
+error (a failed self-validation or any other unexpected exception).
 """
 
 from __future__ import annotations
@@ -54,7 +54,6 @@ def _build_parser() -> _Parser:
         p.add_argument("--epsilon", type=float, default=0.01)
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--trial-cap", type=int, default=None)
-        p.add_argument("--jobs", type=int, default=1)
 
     def add_output_flags(p):
         p.add_argument("-o", "--output", default=None, help="solution file path")
@@ -68,6 +67,7 @@ def _build_parser() -> _Parser:
     p.add_argument("instance")
     p.add_argument("--c", type=int, required=True)
     add_family_flags(p)
+    p.add_argument("--jobs", type=int, default=1)
     add_output_flags(p)
     p = solve.add_parser("mwis")
     p.add_argument("instance")
@@ -412,6 +412,11 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"argument error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except Exception as exc:  # a defect of the program, e.g. a tripped assertion
+        detail = " ".join(str(exc).split())  # one line, whatever the message
+        print(f"internal error: {type(exc).__name__}" + (f": {detail}" if detail else ""),
+              file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

@@ -7,7 +7,11 @@ pairwise distinct colors from C.  Leaves score w(S); a single child is
 combined through selections grouped by their intersection with the parent
 bag (this grouping is what keeps the per-bag cost near n^alpha instead of
 n^(2*alpha)); a join bag with two equal children splits the free colors
-disjointly between the subtrees, which costs 3^c pairs per selection.
+disjointly between the subtrees.  Both children are infeasible on any color
+set missing colors(S), so a join enumerates only the 3^(c-|colors(S)|)
+splits of the colors outside colors(S), batched over the selections of a
+bag; past 12 free colors the splits of the remaining colors run as an outer
+loop over the 3^12 pair table.
 
 Weights use int64 arrays with a large negative sentinel for infeasible
 entries; instance construction bounds total weight so sums never wrap.
@@ -24,7 +28,8 @@ from .graph import (
     Solution,
     ValidationError,
     WeightedInstance,
-    find_independent_subset,
+    independence_bounded,
+    is_clique,
     is_independent,
 )
 from .treedecomp import TreeDecomposition, normalize_binary, verify_tree_decomposition
@@ -32,7 +37,8 @@ from .treedecomp import TreeDecomposition, normalize_binary, verify_tree_decompo
 NEG = -(2**61)
 FEAS_MIN = -(2**60)
 MAX_COLORS = 30
-_PAIR_TABLE_MAX_C = 12  # join pair arrays up to 3^12 rows; larger c loops in python
+_PAIR_TABLE_MAX_C = 12  # join pair arrays up to 3^12 rows; more free colors loop outside
+_JOIN_BLOCK = 1 << 20  # pair cells per batch of join rows, which bounds the temporaries
 
 
 @lru_cache(maxsize=None)
@@ -71,6 +77,116 @@ def _popcounts(c: int) -> np.ndarray:
     return np.array([x.bit_count() for x in range(1 << c)], dtype=np.int64)
 
 
+@lru_cache(maxsize=None)
+def _supersets(c: int, m: int) -> np.ndarray:
+    """The supersets of color mask m among c colors, ascending: entry x
+    spreads the bits of x over the colors outside m, lowest first.
+
+    Checked once per (c, m): mapped through this array, every pair of the
+    free colors' pair table splits its set C into two parts that share
+    exactly m, and the free index keeps the submask order of the real masks.
+    """
+    sup = np.array([m], dtype=np.int64)
+    for j in range(c):
+        if not m >> j & 1:
+            sup = np.concatenate([sup, sup | (1 << j)])
+    low = min(sup.size.bit_length() - 1, _PAIR_TABLE_MAX_C)
+    full_f, sub_f, other_f, _, _ = _pair_table(low)
+    sub, other = sup[sub_f], sup[other_f]
+    assert np.all((sub | other) == sup[full_f]) and np.all((sub & other) == m)
+    width = 1 << low
+    assert np.all(sup.reshape(-1, width) == (sup[::width, None] | sup[None, :width]))
+    assert np.all(np.diff(sup) > 0)
+    sup.flags.writeable = False  # one cached array serves every caller
+    return sup
+
+
+def _high_splits(h: int):
+    """(sub part, other part) for every disjoint split of h colors, sub part
+    ascending, so that a strict maximum keeps the smallest sub mask."""
+    full = (1 << h) - 1
+    for hs in range(1 << h):
+        rest = full & ~hs
+        ho = rest
+        while True:
+            yield hs, ho
+            if ho == 0:
+                break
+            ho = (ho - 1) & rest
+
+
+def _join_rows(a_rows, b_rows, masks, ws, c: int):
+    """Join tables for selections whose color masks have one popcount.
+
+    a_rows and b_rows hold the children's rows (one per selection), masks
+    the selections' color masks and ws their weights.  Each row is gathered
+    onto its free colors and split over their pair table; the first maximum
+    in ascending submask order wins.  Returns the table rows and, per row
+    and color set, the real sub mask given to the first child.
+    """
+    free = c - masks[0].bit_count()
+    low = min(free, _PAIR_TABLE_MAX_C)
+    full_f, sub_f, other_f, starts, counts = _pair_table(low)
+    sups = [_supersets(c, m) for m in masks]
+    af = np.array([row[sup] for row, sup in zip(a_rows, sups)])
+    bf = np.array([row[sup] for row, sup in zip(b_rows, sups)])
+    # both children are infeasible wherever C misses a selected color, so
+    # the pairs never enumerated can never win
+    assert np.count_nonzero(np.array(a_rows + b_rows) > FEAS_MIN) == (
+        np.count_nonzero(af > FEAS_MIN) + np.count_nonzero(bf > FEAS_MIN)
+    )
+    width = 1 << low
+    rank = np.arange(full_f.size, 0, -1)  # a segment's first hit ranks highest
+    best = np.empty_like(af)
+    arg = np.empty_like(af)
+    for hs, ho in _high_splits(free - low):
+        vals = np.take(af[:, hs * width : (hs + 1) * width], sub_f, axis=1)
+        vals += np.take(bf[:, ho * width : (ho + 1) * width], other_f, axis=1)
+        seg = np.maximum.reduceat(vals, starts, axis=1)
+        hit = np.where(vals == np.repeat(seg, counts, axis=1), rank, 0)
+        subs = hs * width + sub_f[full_f.size - np.maximum.reduceat(hit, starts, axis=1)]
+        blk = slice((hs | ho) * width, ((hs | ho) + 1) * width)
+        if hs == 0:
+            best[:, blk] = seg
+            arg[:, blk] = subs
+        else:
+            better = seg > best[:, blk]
+            best[:, blk][better] = seg[better]
+            arg[:, blk][better] = subs[better]
+    out = np.full((len(masks), 1 << c), NEG, dtype=np.int64)
+    bp = np.zeros((len(masks), 1 << c), dtype=np.int64)
+    for r, sup in enumerate(sups):
+        out[r, sup] = best[r] - ws[r]
+        bp[r, sup] = sup[arg[r]]
+    return out, bp
+
+
+def _join_bag(avals, bvals, meta, c: int):
+    """Tables and backpointers of a join bag from its two children's tables;
+    meta holds (color mask, colorful, weight) per selection."""
+    arrs: list[np.ndarray] = [np.full(1 << c, NEG, dtype=np.int64)] * len(meta)
+    bps: list[np.ndarray | None] = [None] * len(meta)
+    by_count: dict[int, list[int]] = {}
+    for i, (mask, colorful, _) in enumerate(meta):
+        if colorful:
+            by_count.setdefault(mask.bit_count(), []).append(i)
+    for count, rows in by_count.items():
+        step = max(1, _JOIN_BLOCK // 3 ** min(c - count, _PAIR_TABLE_MAX_C))
+        for lo in range(0, len(rows), step):
+            chunk = rows[lo : lo + step]
+            out, bp = _join_rows(
+                [avals[i] for i in chunk],
+                [bvals[i] for i in chunk],
+                [meta[i][0] for i in chunk],
+                [meta[i][2] for i in chunk],
+                c,
+            )
+            for r, i in enumerate(chunk):
+                arrs[i] = out[r]
+                bps[i] = bp[r]
+    return arrs, bps
+
+
 class ColorfulDP:
     """Reusable DP engine: the tree/selection structure is precomputed once,
     after which solve() may be called with many different colorings."""
@@ -82,7 +198,7 @@ class ColorfulDP:
         if not td.is_binary_form():
             td = normalize_binary(td)
         for bag in td.bags:
-            if find_independent_subset(g, bag, alpha + 1) is not None:
+            if not independence_bounded(g, bag, alpha):
                 raise ValueError(
                     f"a bag has more than alpha={alpha} pairwise nonadjacent vertices"
                 )
@@ -157,12 +273,6 @@ class ColorfulDP:
                 meta.append((mask, mask.bit_count() == len(s), sum(w[v] for v in s)))
             sel_meta.append(meta)
 
-        if c <= _PAIR_TABLE_MAX_C:
-            full_a, sub_a, other_base, starts, counts = _pair_table(c)
-            ar3 = np.arange(full_a.size, dtype=np.int64)
-        else:
-            full_a = None
-
         for x in self.order:
             kids = td.children[x]
             arrs: list[np.ndarray] = []
@@ -199,56 +309,7 @@ class ColorfulDP:
                 values[y] = None
             else:
                 y, z = self.join_children[x]
-                avals, bvals = values[y], values[z]
-                bps: list[np.ndarray | None] = []
-                for i, s in enumerate(self.sels[x]):
-                    mask, colorful, ws = sel_meta[x][i]
-                    if not colorful:
-                        arrs.append(np.full(nc, NEG, dtype=np.int64))
-                        bps.append(None)
-                        continue
-                    A, B = avals[i], bvals[i]
-                    if full_a is not None:
-                        other = other_base | mask
-                        av = A[sub_a]
-                        bv = B[other]
-                        vals = av + bv
-                        feas = (av > FEAS_MIN) & (bv > FEAS_MIN)
-                        # color discipline of the join rule on feasible pairs
-                        assert np.all((sub_a | other)[feas] == full_a[feas])
-                        assert np.all((sub_a & other)[feas] == mask)
-                        segmax = np.maximum.reduceat(vals, starts)
-                        rep = np.repeat(segmax, counts)
-                        firsts = np.minimum.reduceat(
-                            np.where(vals == rep, ar3, full_a.size), starts
-                        ).astype(np.int64)
-                        arrs.append(
-                            np.where((call & mask) == mask, segmax - ws, NEG)
-                        )
-                        bps.append(firsts)
-                    else:
-                        arr = np.full(nc, NEG, dtype=np.int64)
-                        bp = np.zeros(nc, dtype=np.int64)
-                        for C in range(nc):
-                            if (C & mask) != mask:
-                                continue
-                            best = NEG
-                            best_sub = mask
-                            sbm = C
-                            while True:
-                                other_m = (C & ~sbm) | mask
-                                v = A[sbm] + B[other_m]
-                                if v > best:
-                                    best = v
-                                    best_sub = sbm
-                                if sbm == 0:
-                                    break
-                                sbm = (sbm - 1) & C
-                            arr[C] = best - ws if best > FEAS_MIN else NEG
-                            bp[C] = best_sub
-                        arrs.append(arr)
-                        bps.append(bp)
-                bp_join[x] = bps
+                arrs, bp_join[x] = _join_bag(values[y], values[z], sel_meta[x], c)
                 values[y] = None
                 values[z] = None
             values[x] = arrs
@@ -297,12 +358,7 @@ class ColorfulRun:
                 smask = 0
                 for v in s:
                     smask |= self.cmask[v]
-                bp = self.bp_join[x][i]
-                if self.c <= _PAIR_TABLE_MAX_C:
-                    _, sub_a, _, _, _ = _pair_table(self.c)
-                    sub = int(sub_a[int(bp[C])])
-                else:
-                    sub = int(bp[C])
+                sub = int(self.bp_join[x][i][C])
                 stack.append((y, sub, i))
                 stack.append((z, (C & ~sub) | smask, i))
         return frozenset(chosen)
@@ -417,9 +473,8 @@ def max_weight_is_chordal(inst: WeightedInstance, td: TreeDecomposition) -> Solu
     _check_td(inst, td)
     if not td.is_binary_form():
         td = normalize_binary(td)
-    for bag in td.bags:
-        if find_independent_subset(g, bag, 2) is not None:
-            raise ValueError("clique tree required: found a non-clique bag")
+    if not all(is_clique(g, bag) for bag in td.bags):
+        raise ValueError("clique tree required: found a non-clique bag")
 
     sels: list[list[int | None]] = [[None] + sorted(bag) for bag in td.bags]
     values: list[dict[int | None, int] | None] = [None] * len(td)

@@ -31,6 +31,15 @@ class ValidationError(RuntimeError):
     """A solver produced a result that failed its own re-validation."""
 
 
+def _vertex_mask(g: "Graph", s) -> int:
+    mask = 0
+    for v in s:
+        if not 0 <= v < g.n:
+            raise ValueError(f"vertex {v} out of range")
+        mask |= 1 << v
+    return mask
+
+
 def _mask_to_set(mask: int) -> frozenset[int]:
     out = []
     v = 0
@@ -134,37 +143,40 @@ def find_independent_subset(g: Graph, s, size: int) -> frozenset[int] | None:
     """Some independent subset of s of exactly the given size, or None.
 
     Bounded branch-and-prune: only explores as far as needed to certify
-    existence, so it stays cheap when size is small.
+    existence, so it stays cheap when size is small.  Branches on the lowest
+    available vertex, taking it before skipping it; an explicit stack keeps
+    large sets within reach of the recursion limit.
     """
     if size <= 0:
         return frozenset()
-    avail = 0
-    for v in s:
-        if not 0 <= v < g.n:
-            raise ValueError(f"vertex {v} out of range")
-        avail |= 1 << v
-
-    def rec(avail_mask: int, chosen: list[int], need: int):
+    avail = _vertex_mask(g, s)
+    stack = [(avail, 0, size)]
+    while stack:
+        avail_mask, chosen, need = stack.pop()
         if need == 0:
-            return frozenset(chosen)
+            return _mask_to_set(chosen)
         if avail_mask.bit_count() < need:
-            return None
-        v = (avail_mask & -avail_mask).bit_length() - 1
-        bit = 1 << v
-        chosen.append(v)
-        got = rec(avail_mask & ~g.mask[v] & ~bit, chosen, need - 1)
-        if got is not None:
-            return got
-        chosen.pop()
-        return rec(avail_mask & ~bit, chosen, need)
+            continue
+        bit = avail_mask & -avail_mask
+        v = bit.bit_length() - 1
+        stack.append((avail_mask & ~bit, chosen, need))
+        stack.append((avail_mask & ~g.mask[v] & ~bit, chosen | bit, need - 1))
+    return None
 
-    return rec(avail, [], size)
+
+def is_clique(g: Graph, s) -> bool:
+    """True iff every two vertices of s are adjacent."""
+    verts = list(s)
+    want = _vertex_mask(g, verts)
+    return all((g.mask[v] | 1 << v) & want == want for v in verts)
 
 
 def independence_bounded(g: Graph, s, k: int) -> bool:
     """True iff every independent subset of G[s] has size at most k."""
     if k < 0:
         raise ValueError("k must be non-negative")
+    if k == 1:
+        return is_clique(g, s)
     return find_independent_subset(g, s, k + 1) is None
 
 
@@ -400,10 +412,6 @@ class Solution:
                             raise ValidationError(
                                 f"adjacent vertices {u},{v} share a color"
                             )
-
-
-def empty_solution() -> Solution:
-    return Solution(frozenset(), 0, None)
 
 
 def solution_sort_key(sol: Solution):

@@ -12,13 +12,12 @@ from .recognition import verify_peo
 class TreeDecomposition:
     """Rooted tree of bags.  parent[i] is None exactly for the root."""
 
-    __slots__ = ("bags", "parent", "root", "children", "normalized")
+    __slots__ = ("bags", "parent", "root", "children")
 
-    def __init__(self, bags, parent, root, normalized=False):
+    def __init__(self, bags, parent, root):
         self.bags: list[frozenset[int]] = [frozenset(b) for b in bags]
         self.parent: list[int | None] = list(parent)
         self.root = root
-        self.normalized = normalized
         if len(self.bags) != len(self.parent):
             raise ValueError("bags and parent arrays differ in length")
         if not self.bags:
@@ -233,7 +232,7 @@ def normalize_binary(td: TreeDecomposition) -> TreeDecomposition:
             right = add(bag, me)
             stack.append(("attach", right, bag, kids[1:]))
 
-    out = TreeDecomposition(bags, parent, 0, normalized=True)
+    out = TreeDecomposition(bags, parent, 0)
     assert len(out) <= 3 * len(td), "normalization exceeded the 3x bag bound"
     assert out.is_binary_form()
     return out

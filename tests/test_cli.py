@@ -124,6 +124,31 @@ def test_exit_codes(tmp_path, capsys):
     assert code == 3
 
 
+def test_unexpected_exception_is_internal_error(tmp_path, capsys, monkeypatch):
+    from mwccs import dp
+
+    def tripped(inst, td):
+        raise AssertionError("join discipline\nviolated")
+
+    monkeypatch.setattr(dp, "max_weight_is_chordal", tripped)
+    path = tmp_path / "p4.iki"
+    write_instance(WeightedInstance.unit(path_graph(4)), path)
+    code, out, err = run_cli(["solve", "mwis", str(path)], capsys)
+    assert code == 70 and out == ""
+    assert err == "internal error: AssertionError: join discipline violated\n"
+
+
+def test_jobs_only_on_solve_mwccs(tmp_path, capsys):
+    path = tmp_path / "p4.iki"
+    write_instance(WeightedInstance.unit(path_graph(4)), path)
+    code, _, err = run_cli(["solve", "mwis", str(path), "--jobs", "2"], capsys)
+    assert code == 64 and "--jobs" in err
+    code, _, _ = run_cli(
+        ["solve", "mwccs", str(path), "--c", "1", "--ell", "2", "--jobs", "1"], capsys
+    )
+    assert code == 0
+
+
 def test_recognize_verdicts(tmp_path, capsys):
     inst = WeightedInstance.unit(cycle_graph(5))
     path = tmp_path / "c5.iki"

@@ -1,3 +1,5 @@
+import hashlib
+import itertools
 import random
 
 import pytest
@@ -5,6 +7,7 @@ import pytest
 from mwccs.dp import (
     ColorfulDP,
     _pair_table,
+    _supersets,
     colorful_best_by_color_count,
     max_weight_colorful_is,
     max_weight_is_chordal,
@@ -17,6 +20,7 @@ from mwccs.treedecomp import (
     TreeDecomposition,
     bag_alpha,
     clique_tree_from_peo,
+    normalize_binary,
     verify_tree_decomposition,
 )
 
@@ -186,8 +190,8 @@ def test_monotone_in_colors_and_vertices():
 
 
 def test_join_fallback_for_large_color_counts(monkeypatch):
-    # force the python-loop join path that serves color counts past the
-    # precomputed pair tables
+    # force the outer loop over the colors past the pair table, which serves
+    # selections with more than _PAIR_TABLE_MAX_C free colors
     import mwccs.dp as dp_mod
 
     monkeypatch.setattr(dp_mod, "_PAIR_TABLE_MAX_C", 1)
@@ -206,6 +210,80 @@ def test_pair_table_enumerates_exactly_three_to_the_c():
         assert counts.sum() == 3**c
         # submask discipline
         assert ((full & sub) == sub).all()
+
+
+def test_supersets_split_every_color_set_around_the_selection():
+    for c in range(7):
+        for m in range(1 << c):
+            free = c - m.bit_count()
+            sup = _supersets(c, m)
+            assert sup.tolist() == [C for C in range(1 << c) if C & m == m]
+            full, sub, other, starts, counts = _pair_table(free)
+            real_c, real_sub, real_other = sup[full], sup[sub], sup[other]
+            assert ((real_sub | real_other) == real_c).all()
+            assert ((real_sub & real_other) == m).all()
+            for k, C in enumerate(sup.tolist()):
+                seg = real_sub[starts[k] : starts[k] + counts[k]].tolist()
+                assert seg == [s for s in range(C + 1) if s & C == s and s & m == m]
+
+
+def test_thirteen_colors_match_oracle():
+    # c = 13 puts the empty selection past the 3^12 pair table
+    joins = 0
+    for seed in (3, 6, 14):
+        rng = random.Random(seed)
+        g = random_chordal(14, 3, seed)
+        inst = WeightedInstance(
+            g,
+            tuple(rng.randint(0, 40) for _ in range(14)),
+            colors=tuple(rng.randint(1, 13) for _ in range(14)),
+        )
+        td = _clique_tree(g)
+        joins += sum(len(ch) == 2 for ch in normalize_binary(td).children)
+        got = max_weight_colorful_is(inst, td, 1, c=13)
+        assert got.weight == brute_colorful_is(inst).weight, f"seed {seed}"
+    assert joins >= 3
+
+
+def _witness_digest(seeds):
+    """Digest of the witnesses of best_full and best_by_color_count on 0/1
+    weights, where nearly every optimum is tied."""
+    h = hashlib.sha256()
+    for seed in seeds:
+        rng = random.Random(seed)
+        n = rng.randint(1, 14)
+        c = rng.randint(1, 8)
+        g = random_chordal(n, rng.randint(2, 5), seed)
+        inst = WeightedInstance(g, tuple(rng.randint(0, 1) for _ in range(n)))
+        colors = [rng.randint(1, c) for _ in range(n)]
+        run = ColorfulDP(inst, _clique_tree(g), 1).solve(colors, c)
+        sols = [run.best_full()] + run.best_by_color_count(c)
+        h.update(repr([sorted(s.vertices) for s in sols]).encode())
+    return h.hexdigest()
+
+
+_PINNED_WITNESSES = "bba6dcd1746c79522bedbbcc4436c87a80adc964216dd9e1f3eedb278dca2812"
+
+
+def test_tied_witnesses_are_pinned(monkeypatch):
+    # recorded with the full 3^c join; 185 join bags over these instances
+    assert _witness_digest(range(300)) == _PINNED_WITNESSES
+    # the outer loop past the pair table breaks ties the same way
+    import mwccs.dp as dp_mod
+
+    monkeypatch.setattr(dp_mod, "_PAIR_TABLE_MAX_C", 2)
+    assert _witness_digest(range(300)) == _PINNED_WITNESSES
+
+
+def test_one_bag_of_1100_vertices():
+    n = 1100
+    g = Graph(n, itertools.combinations(range(n), 2))
+    td = TreeDecomposition([frozenset(range(n))], [None], 0)
+    inst = WeightedInstance(
+        g, tuple(v % 7 for v in range(n)), colors=tuple(v % 3 + 1 for v in range(n))
+    )
+    assert max_weight_is_chordal(inst, td).vertices == {6}
+    assert max_weight_colorful_is(inst, td, 1, c=3).vertices == {6}
 
 
 def test_best_by_color_count_bounds_cardinality():

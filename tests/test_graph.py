@@ -14,6 +14,7 @@ from mwccs.graph import (
     independence_bounded,
     induced_subgraph,
     is_c_colorable,
+    is_clique,
     is_independent,
     maximal_cliques_containing,
     neighborhood,
@@ -87,6 +88,51 @@ def test_independence_bounded_matches_is_independent():
         assert is_independent(g, verts) == (
             not independence_bounded(g, verts, len(verts) - 1)
         )
+
+
+def _first_independent_subset(g, s, size):
+    """Recursive reference: branch on the lowest vertex, taking it first."""
+
+    def rec(avail, chosen, need):
+        if need == 0:
+            return frozenset(chosen)
+        if len(avail) < need:
+            return None
+        v, rest = avail[0], avail[1:]
+        got = rec([u for u in rest if u not in g.adj[v]], chosen + [v], need - 1)
+        return got if got is not None else rec(rest, chosen, need)
+
+    return rec(sorted(s), [], size)
+
+
+def test_find_independent_subset_branch_order():
+    assert find_independent_subset(path_graph(5), range(5), 2) == {0, 2}
+    assert find_independent_subset(path_graph(5), {1, 2, 3, 4}, 2) == {1, 3}
+    for seed in range(60):
+        g = random_graph(seed % 10 + 2, 0.45, seed)
+        rng = random.Random(seed)
+        verts = [v for v in range(g.n) if rng.random() < 0.8]
+        for size in range(4):
+            assert find_independent_subset(g, verts, size) == (
+                _first_independent_subset(g, verts, size)
+            ), f"seed {seed} size {size}"
+
+
+def test_large_sets_stay_within_the_recursion_limit():
+    n = 3000
+    assert find_independent_subset(path_graph(n), range(n), 1500) == set(range(0, n, 2))
+    k = complete_graph(1100)
+    assert find_independent_subset(k, range(1100), 2) is None
+    assert independence_bounded(k, range(1100), 1)
+
+
+def test_is_clique():
+    assert is_clique(complete_graph(4), range(4))
+    assert is_clique(cycle_graph(4), set()) and is_clique(cycle_graph(4), {2})
+    assert is_clique(cycle_graph(4), {0, 1})
+    assert not is_clique(cycle_graph(4), {0, 1, 2})
+    with pytest.raises(ValueError):
+        is_clique(cycle_graph(4), {5})
 
 
 def test_is_c_colorable():
