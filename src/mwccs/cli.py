@@ -271,7 +271,7 @@ def _cmd_recognize(args) -> int:
             return EXIT_OK
         print("cluster-chordal: no")
         return EXIT_ABSENT
-    for prefix, runner in (("kmino", None), ("k1kfree", None), ("inductive", None)):
+    for prefix in ("kmino", "k1kfree", "inductive"):
         if klass.startswith(prefix + ":"):
             try:
                 k = int(klass.split(":", 1)[1])

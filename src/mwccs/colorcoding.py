@@ -7,20 +7,30 @@ class independently and take the union.  The cluster reduction turns
 bounded MWIS on a cluster+chordal graph into colorful independent set on
 the chordal part by coloring whole clusters.
 
-Derandomization families are replaced by two modes.  EXHAUSTIVE enumerates
-every coloring of the relevant family, deduplicated by color symmetry
-(renaming colors never changes an optimum, so one representative per
-partition into color classes suffices) and is exact.  RANDOMIZED draws the
-family-specific number of independent uniform colorings and is optimal
-with probability at least 1 - epsilon, always returning a feasible set.
+Both levels take their colorings from one family, made by `_colorings` in
+one of two modes.  EXHAUSTIVE yields one coloring per partition of the
+items into color classes (renaming colors never changes an optimum, so one
+representative per partition suffices) and is exact; it is refused when it
+is made if it stands for more than 2^24 colorings.  RANDOMIZED draws the
+level's number of independent uniform colorings from a seeded stream and is
+optimal with probability at least 1 - epsilon, always returning a feasible
+set.
+
+The subgraph reduction keeps the first coloring, in family order, that
+reaches the heaviest weight.  With jobs > 1 a randomized family is split
+into contiguous chunks that run the same loop in a process pool; a later
+chunk's answer replaces an earlier one only if it is strictly heavier, so
+the answer is the sequential one whatever the number of workers.
 """
 
 from __future__ import annotations
 
 import math
+import os
 import random
 from dataclasses import dataclass
 from enum import Enum
+from functools import lru_cache
 from typing import Callable, Iterator
 
 from .dp import ColorfulDP, MAX_COLORS
@@ -35,8 +45,7 @@ from .graph import (
 from .recognition import find_cluster_violation, is_chordal
 from .treedecomp import clique_tree_from_peo
 
-EXHAUSTIVE_ASSIGNMENT_CAP = 1 << 24  # cap on c^n colorings of the vertex set
-HASH_FAMILY_BITS = 24.0  # cap on d*log2(ell) for enumerated cluster colorings
+FAMILY_CAP = 1 << 24  # cap on the k^m colorings of m items with k colors
 IDENTITY_COLOR_CAP = 12  # clusters used directly as colors up to this count
 
 
@@ -89,30 +98,27 @@ def enumerate_size_partitions(ell: int, c: int) -> Iterator[tuple[int, ...]]:
     yield from rec(0, ell)
 
 
-def _set_partitions(n: int, max_blocks: int) -> Iterator[tuple[tuple[int, ...], ...]]:
-    """Partitions of range(n) into at most max_blocks non-empty blocks, in a
-    deterministic order (blocks ordered by their smallest element)."""
-    if n == 0:
-        yield ()
-        return
-    if max_blocks < 1:
-        return
-    blocks: list[list[int]] = []
+def _partition_colorings(m: int, k: int) -> Iterator[tuple[int, ...]]:
+    """One coloring of range(m) per partition into at most k blocks.
 
-    def rec(i: int):
-        if i == n:
-            yield tuple(tuple(b) for b in blocks)
+    Blocks are ordered by their smallest item and block j gets color j, so
+    the colorings are the restricted growth strings, yielded in
+    lexicographic order.
+    """
+    a = [1] * m
+    top = [1] * m  # top[i] = max(a[: i + 1])
+    while True:
+        yield tuple(a)
+        i = m - 1
+        while i > 0 and (a[i] > top[i - 1] or a[i] == k):
+            i -= 1
+        if i <= 0:
             return
-        for b in blocks:
-            b.append(i)
-            yield from rec(i + 1)
-            b.pop()
-        if len(blocks) < max_blocks:
-            blocks.append([i])
-            yield from rec(i + 1)
-            blocks.pop()
-
-    yield from rec(0)
+        a[i] += 1
+        top[i] = max(top[i - 1], a[i])
+        for j in range(i + 1, m):
+            a[j] = 1
+            top[j] = top[i]
 
 
 def _randomized_trials(base: float, spec: ColoringFamilySpec) -> int:
@@ -127,6 +133,28 @@ def _randomized_trials(base: float, spec: ColoringFamilySpec) -> int:
     if spec.trial_cap is not None:
         trials = min(trials, spec.trial_cap)
     return trials
+
+
+def _colorings(
+    m: int, k: int, base: float, spec: ColoringFamilySpec
+) -> Iterator[tuple[int, ...]]:
+    """The family of colorings of m items with colors 1..k.
+
+    EXHAUSTIVE: one coloring per partition of the items into at most k
+    blocks, refused here, before any coloring is made, when k^m exceeds
+    FAMILY_CAP.  RANDOMIZED: _randomized_trials(base, spec) uniform draws
+    from random.Random(spec.seed).
+    """
+    if spec.mode == Mode.EXHAUSTIVE:
+        if k**m > FAMILY_CAP:
+            raise SizeCapError(
+                f"enumerating {k}^{m} colorings exceeds the exhaustive cap; "
+                "use randomized mode"
+            )
+        return _partition_colorings(m, k)
+    trials = _randomized_trials(base, spec)
+    rng = random.Random(spec.seed)
+    return (tuple(rng.randint(1, k) for _ in range(m)) for _ in range(trials))
 
 
 def decomposition_parts(inst: WeightedInstance) -> tuple[list[frozenset[int]], Graph]:
@@ -181,7 +209,7 @@ class ClusterChordalEngine:
             WeightedInstance(self.chordal_g, inst.weights), self.td, 1
         )
 
-    def _run(self, f: list[int], c: int):
+    def _run(self, f: tuple[int, ...], c: int):
         colors = tuple(f[self.cluster_of[v]] for v in range(self.inst.graph.n))
         return self.dp.solve(colors, c)
 
@@ -197,52 +225,30 @@ class ClusterChordalEngine:
         if ell == 0 or n == 0:
             return [empty] * (ell + 1)
         d = len(self.clusters)
-        best: list[Solution | None] = [empty] * (ell + 1)
+        if spec.mode == Mode.EXHAUSTIVE and d <= IDENTITY_COLOR_CAP:
+            # few clusters: the cluster ids themselves are the colors, so one
+            # DP run is exact; its bound b is the root optimum over color
+            # subsets of size at most b
+            family = [tuple(range(1, d + 1))]
+        else:
+            family = _colorings(d, ell, math.e**ell, spec)
+        best = [empty] * (ell + 1)
         trials = 0
-
-        def fold(vec: list[Solution]):
+        for f in family:
+            k = max(f)
+            vec = self._run(f, k).best_by_color_count(min(ell, k))
             for b in range(ell + 1):
                 cand = vec[min(b, len(vec) - 1)]
                 stripped = Solution(cand.vertices, cand.weight, None)
                 best[b] = better_solution(best[b], stripped)
-
-        if spec.mode == Mode.EXHAUSTIVE:
-            if d <= IDENTITY_COLOR_CAP:
-                # few clusters: use the cluster ids themselves as colors, one
-                # DP run; a bound of b is the root optimum over color subsets
-                # of size at most b
-                fold(self._run(list(range(1, d + 1)), d).best_by_color_count(ell))
-                trials = 1
-            else:
-                if ell >= 2 and d * math.log2(ell) > HASH_FAMILY_BITS:
-                    raise SizeCapError(
-                        f"enumerating {ell}^{d} cluster colorings exceeds the "
-                        "exhaustive cap; use randomized mode"
-                    )
-                bmax = min(ell, d)
-                for part in _set_partitions(d, bmax):
-                    f = [0] * d
-                    for bi, block in enumerate(part):
-                        for cl in block:
-                            f[cl] = bi + 1
-                    fold(self._run(f, len(part)).best_by_color_count(min(ell, len(part))))
-                    trials += 1
-        else:
-            trials = _randomized_trials(math.e**ell, spec)
-            rng = random.Random(spec.seed)
-            for _ in range(trials):
-                f = [rng.randint(1, ell) for _ in range(d)]
-                fold(self._run(f, ell).best_by_color_count(ell))
-
+            trials += 1
         if stats is not None:
             stats["trials"] = stats.get("trials", 0) + trials
-        out: list[Solution] = []
         for b, sol in enumerate(best):
             sol.validate(self.inst)  # independence in the full graph
             if len(sol.vertices) > b:
                 raise ValidationError("bounded MWIS witness exceeds its bound")
-            out.append(sol)
-        return out
+        return best
 
 
 def mwis_cluster_chordal(
@@ -287,11 +293,7 @@ class ClusterChordalSolver:
         return self.solve_vector(sub, bound)[bound]
 
 
-def _assemble(
-    blocks: list[frozenset[int]],
-    bounds: tuple[int, ...],
-    vectors: list[list[Solution]],
-) -> Solution:
+def _assemble(bounds: tuple[int, ...], vectors: list[list[Solution]]) -> Solution:
     verts: set[int] = set()
     assignment: dict[int, int] = {}
     weight = 0
@@ -341,22 +343,72 @@ def _class_vector_fn(inst, ell, solver):
     return class_vector
 
 
-def _trial_best(blocks, ell, class_vector, size_partitions) -> Solution:
-    """Optimum over one coloring's size partitions (first-found witness)."""
-    if not blocks:
-        return Solution(frozenset(), 0, {})
-    pairs = [class_vector(b) for b in blocks]
-    wvecs = [p[1] for p in pairs]
-    best_total = -1
-    best_bounds = None
-    for bounds in size_partitions(len(blocks)):
-        total = 0
-        for i, b in enumerate(bounds):
-            total += wvecs[i][b]
-        if total > best_total:
-            best_total = total
-            best_bounds = bounds
-    return _assemble(blocks, best_bounds, [p[0] for p in pairs])
+@lru_cache(maxsize=None)
+def _size_partitions(ell: int, j: int) -> tuple[tuple[int, ...], ...]:
+    return tuple(enumerate_size_partitions(ell, j))
+
+
+def _best_over_colorings(colorings, c, ell, class_vector) -> tuple[Solution, int]:
+    """Optimum over a run of vertex colorings, and the number of colorings.
+
+    The first coloring in order that reaches the heaviest weight wins, with
+    its first heaviest size split; so does a run split into chunks whose
+    answers are merged in order on strictly heavier weight.
+    """
+    best = Solution(frozenset(), 0, {})
+    trials = 0
+    for coloring in colorings:
+        trials += 1
+        classes: list[list[int]] = [[] for _ in range(c)]
+        for v, col in enumerate(coloring):
+            classes[col - 1].append(v)
+        blocks = [frozenset(cls) for cls in classes if cls]
+        pairs = [class_vector(b) for b in blocks]
+        cap = 0
+        for p in pairs:
+            cap += p[1][-1]
+        if cap <= best.weight:
+            continue  # not even every class at the full budget beats best
+        wvecs = [p[1] for p in pairs]
+        best_total = best.weight
+        best_bounds = None
+        for bounds in _size_partitions(ell, len(blocks)):
+            total = 0
+            for i, b in enumerate(bounds):
+                total += wvecs[i][b]
+            if total > best_total:
+                best_total = total
+                best_bounds = bounds
+        if best_bounds is not None:
+            best = _assemble(best_bounds, [p[0] for p in pairs])
+    return best, trials
+
+
+def _vertex_colorings(
+    inst: WeightedInstance, c: int, ell: int, spec: ColoringFamilySpec
+) -> Iterator[tuple[int, ...]]:
+    """The subgraph reduction's family; empty when the budget is zero."""
+    if c < 1:
+        raise ValueError("c must be positive")
+    if c > MAX_COLORS:
+        raise ValueError(f"c must be at most {MAX_COLORS}")
+    if ell < 0:
+        raise ValueError("ell must be non-negative")
+    n = inst.graph.n
+    if ell == 0 or n == 0:
+        return iter(())
+    return _colorings(n, c, float(c) ** ell, spec)
+
+
+def _checked(inst, c, ell, best: Solution, trials: int, stats) -> Solution:
+    """Epilogue of a sequential or pooled run: count its colorings and
+    re-validate the witness."""
+    if stats is not None:
+        stats["trials"] = stats.get("trials", 0) + trials
+    best.validate(inst, c)
+    if len(best.vertices) > ell:
+        raise ValidationError("solution exceeds the vertex budget")
+    return best
 
 
 def mwccs_from_mwis(
@@ -375,86 +427,10 @@ def mwccs_from_mwis(
     into at most c classes and is exact; RANDOMIZED mode draws
     ceil(c^ell * ln(1/epsilon)) uniform colorings.
     """
-    if c < 1:
-        raise ValueError("c must be positive")
-    if c > MAX_COLORS:
-        raise ValueError(f"c must be at most {MAX_COLORS}")
-    if ell < 0:
-        raise ValueError("ell must be non-negative")
-    n = inst.graph.n
-    empty = Solution(frozenset(), 0, {})
-    if ell == 0 or n == 0:
-        if stats is not None:
-            stats["trials"] = stats.get("trials", 0)
-        return empty
-
+    family = _vertex_colorings(inst, c, ell, spec)
     class_vector = _class_vector_fn(inst, ell, mwis_bounded_solver)
-
-    partition_cache: dict[int, list[tuple[int, ...]]] = {}
-
-    def size_partitions(j: int) -> list[tuple[int, ...]]:
-        if j not in partition_cache:
-            partition_cache[j] = list(enumerate_size_partitions(ell, j))
-        return partition_cache[j]
-
-    best = empty
-
-    def consider(blocks: list[frozenset[int]]):
-        # first strictly-better candidate wins; the enumeration order is
-        # canonical, so results stay deterministic
-        nonlocal best
-        pairs = [class_vector(b) for b in blocks]
-        cap = 0
-        for p in pairs:
-            cap += p[1][-1]
-        if cap <= best.weight:
-            return
-        wvecs = [p[1] for p in pairs]
-        best_total = best.weight
-        best_bounds = None
-        for bounds in size_partitions(len(blocks)):
-            total = 0
-            for i, b in enumerate(bounds):
-                total += wvecs[i][b]
-            if total > best_total:
-                best_total = total
-                best_bounds = bounds
-        if best_bounds is not None:
-            best = _assemble(blocks, best_bounds, [p[0] for p in pairs])
-
-    trials = 0
-    if spec.mode == Mode.EXHAUSTIVE:
-        if c**n > EXHAUSTIVE_ASSIGNMENT_CAP:
-            raise SizeCapError(
-                f"enumerating {c}^{n} colorings exceeds the exhaustive cap; "
-                "use randomized mode"
-            )
-        for part in _set_partitions(n, min(c, n)):
-            consider([frozenset(block) for block in part])
-            trials += 1
-    else:
-        # per-trial optimum, then the canonical cross-trial merge (heavier
-        # first, then lexicographically smallest vertex set), so chunked
-        # parallel runs reproduce the sequential result
-        trials = _randomized_trials(float(c) ** ell, spec)
-        rng = random.Random(spec.seed)
-        for _ in range(trials):
-            coloring = tuple(rng.randint(1, c) for _ in range(n))
-            blocks = [
-                frozenset(v for v in range(n) if coloring[v] == col)
-                for col in range(1, c + 1)
-            ]
-            trial_best = _trial_best(
-                [b for b in blocks if b], ell, class_vector, size_partitions
-            )
-            best = better_solution(best, trial_best)
-
-    if stats is not None:
-        stats["trials"] = stats.get("trials", 0) + trials
-    best.validate(inst, c)
-    if len(best.vertices) > ell:
-        raise ValidationError("solution exceeds the vertex budget")
-    return best
+    best, trials = _best_over_colorings(family, c, ell, class_vector)
+    return _checked(inst, c, ell, best, trials, stats)
 
 
 def mwccs_cluster_chordal(
@@ -466,63 +442,37 @@ def mwccs_cluster_chordal(
     jobs: int = 1,
 ) -> Solution:
     """The full pipeline: max-weight c-colorable subgraph with at most ell
-    vertices of a cluster+chordal graph with a given decomposition witness."""
+    vertices of a cluster+chordal graph with a given decomposition witness.
+
+    With jobs > 1, a randomized run splits its colorings into contiguous
+    chunks for a process pool of min(jobs, chunks, CPUs) workers; the
+    answer is the one jobs=1 gives.
+    """
+    if jobs < 1:
+        raise ValueError("jobs must be at least 1")
     _, chordal_g = decomposition_parts(inst)  # validate the witness up front
     if is_chordal(chordal_g) is None:
         raise ValueError("chordal-tagged edges do not form a chordal graph")
     solver = ClusterChordalSolver(spec)
-    if spec.mode == Mode.RANDOMIZED and jobs > 1 and ell > 0 and inst.graph.n > 0:
-        return _mwccs_randomized_parallel(inst, c, ell, spec, stats, jobs)
+    if spec.mode == Mode.RANDOMIZED and jobs > 1:
+        family = list(_vertex_colorings(inst, c, ell, spec))
+        workers = min(jobs, len(family), os.cpu_count() or 1)
+        if workers > 1:
+            from concurrent.futures import ProcessPoolExecutor
+
+            size = -(-len(family) // workers)
+            chunks = [family[i : i + size] for i in range(0, len(family), size)]
+            best = Solution(frozenset(), 0, {})
+            with ProcessPoolExecutor(max_workers=len(chunks)) as pool:
+                args = [(inst, c, ell, solver, chunk) for chunk in chunks]
+                for got in pool.map(_chunk_best, args):
+                    if got.weight > best.weight:  # earlier chunks win ties
+                        best = got
+            return _checked(inst, c, ell, best, len(family), stats)
     return mwccs_from_mwis(inst, c, ell, solver, spec, stats)
 
 
-def _mwccs_chunk(args) -> Solution:
-    inst, c, ell, colorings, spec = args
-    return _mwccs_over_colorings(inst, c, ell, colorings, ClusterChordalSolver(spec))
-
-
-def _mwccs_over_colorings(inst, c, ell, colorings, solver) -> Solution:
-    best = Solution(frozenset(), 0, {})
+def _chunk_best(args) -> Solution:
+    inst, c, ell, solver, colorings = args
     class_vector = _class_vector_fn(inst, ell, solver)
-    partition_cache: dict[int, list[tuple[int, ...]]] = {}
-
-    def size_partitions(j: int) -> list[tuple[int, ...]]:
-        if j not in partition_cache:
-            partition_cache[j] = list(enumerate_size_partitions(ell, j))
-        return partition_cache[j]
-
-    n = inst.graph.n
-    for coloring in colorings:
-        blocks = [
-            frozenset(v for v in range(n) if coloring[v] == col)
-            for col in range(1, c + 1)
-        ]
-        trial_best = _trial_best(
-            [b for b in blocks if b], ell, class_vector, size_partitions
-        )
-        best = better_solution(best, trial_best)
-    return best
-
-
-def _mwccs_randomized_parallel(inst, c, ell, spec, stats, jobs) -> Solution:
-    from concurrent.futures import ProcessPoolExecutor
-
-    trials = _randomized_trials(float(c) ** ell, spec)
-    rng = random.Random(spec.seed)
-    colorings = [
-        tuple(rng.randint(1, c) for _ in range(inst.graph.n)) for _ in range(trials)
-    ]
-    chunk = max(1, (trials + jobs - 1) // jobs)
-    parts = [colorings[i : i + chunk] for i in range(0, trials, chunk)]
-    best = Solution(frozenset(), 0, {})
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
-        for sub_best in pool.map(
-            _mwccs_chunk, [(inst, c, ell, part, spec) for part in parts]
-        ):
-            best = better_solution(best, sub_best)
-    if stats is not None:
-        stats["trials"] = stats.get("trials", 0) + trials
-    best.validate(inst, c)
-    if len(best.vertices) > ell:
-        raise ValidationError("solution exceeds the vertex budget")
-    return best
+    return _best_over_colorings(colorings, c, ell, class_vector)[0]

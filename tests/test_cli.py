@@ -147,6 +147,11 @@ def test_jobs_only_on_solve_mwccs(tmp_path, capsys):
         ["solve", "mwccs", str(path), "--c", "1", "--ell", "2", "--jobs", "1"], capsys
     )
     assert code == 0
+    for jobs in ("0", "-3"):
+        code, out, err = run_cli(
+            ["solve", "mwccs", str(path), "--c", "1", "--ell", "2", "--jobs", jobs], capsys
+        )
+        assert code == 64 and out == "" and "jobs" in err
 
 
 def test_recognize_verdicts(tmp_path, capsys):
@@ -157,6 +162,10 @@ def test_recognize_verdicts(tmp_path, capsys):
     assert code == 2 and "chordal: no" in out
     code, out, _ = run_cli(["recognize", str(path), "--class", "k1kfree:3"], capsys)
     assert code == 0 and "yes" in out
+    code, out, _ = run_cli(["recognize", str(path), "--class", "kmino:2"], capsys)
+    assert code == 0 and "kmino:2: yes" in out
+    code, out, _ = run_cli(["recognize", str(path), "--class", "kmino:1"], capsys)
+    assert code == 2 and "kmino:1: no" in out
 
     chordal = tmp_path / "tree.iki"
     chordal.write_text("p iki 3 2\ne 1 2\ne 2 3\n")

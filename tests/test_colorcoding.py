@@ -1,11 +1,19 @@
+import concurrent.futures
+import hashlib
+import json
 import math
+import os
 import random
 
 import pytest
 
+from mwccs import colorcoding
 from mwccs.colorcoding import (
+    FAMILY_CAP,
+    ClusterChordalEngine,
     ColoringFamilySpec,
     Mode,
+    _colorings,
     decomposition_parts,
     enumerate_size_partitions,
     mwccs_cluster_chordal,
@@ -273,3 +281,131 @@ def test_parallel_jobs_match_sequential():
     seq = mwccs_cluster_chordal(inst, 2, 3, spec, jobs=1)
     par = mwccs_cluster_chordal(inst, 2, 3, spec, jobs=2)
     assert solution_sort_key(seq) == solution_sort_key(par)
+
+
+def test_jobs_must_be_positive():
+    inst = random_cluster_chordal_instance(6, 2, 3, 5, seed=2)
+    spec = ColoringFamilySpec(Mode.RANDOMIZED, epsilon=0.1, seed=2)
+    for jobs in (0, -1):
+        with pytest.raises(ValueError, match="jobs"):
+            mwccs_cluster_chordal(inst, 2, 3, spec, jobs=jobs)
+
+
+def test_pool_workers_bounded_by_jobs_chunks_and_cpus(monkeypatch):
+    sizes: list[int] = []
+
+    class InlinePool:
+        """Records max_workers and runs the chunks here; starts no process."""
+
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, iterable):
+            return map(fn, iterable)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    inst = random_cluster_chordal_instance(10, 3, 3, 9, seed=15)
+    spec = ColoringFamilySpec(Mode.RANDOMIZED, epsilon=0.1, seed=2)
+    seq_stats: dict = {}
+    seq = mwccs_cluster_chordal(inst, 2, 3, spec, seq_stats)
+    for jobs, workers in ((2, 2), (5000, 3)):
+        sizes.clear()
+        stats: dict = {}
+        got = mwccs_cluster_chordal(inst, 2, 3, spec, stats, jobs=jobs)
+        assert sizes == [workers]
+        assert solution_sort_key(got) == solution_sort_key(seq)
+        assert stats == seq_stats
+    # two colorings make two chunks, whatever jobs asks for
+    sizes.clear()
+    capped = ColoringFamilySpec(Mode.RANDOMIZED, epsilon=0.1, seed=2, trial_cap=2)
+    mwccs_cluster_chordal(inst, 2, 3, capped, jobs=5000)
+    assert sizes == [2]
+
+
+def test_exhaustive_inner_set_partitions_match_brute():
+    # 13 singleton clusters exceed IDENTITY_COLOR_CAP, so bounded_vector walks
+    # the set partitions of the clusters into at most ell blocks
+    assert colorcoding.IDENTITY_COLOR_CAP < 13
+    rng = random.Random(1)
+    g = random_chordal(13, 3, 1)
+    inst = _chordal_with_singletons(
+        WeightedInstance(g, tuple(rng.randint(1, 9) for _ in range(13)))
+    )
+    stats: dict = {}
+    got = mwis_cluster_chordal(inst, 2, EX, stats)
+    assert stats["trials"] == 2**12  # S(13, 1) + S(13, 2)
+    assert got.weight == brute_mwis(inst, ell_cap=2).weight
+    assert sorted(got.vertices) == [4, 10]  # the witness before the family rewrite
+
+
+def _tie_heavy_set():
+    """Small witnessed instances with weights 0..3, so optima are often tied."""
+    out = []
+    for i in range(40):
+        rng = random.Random(i)
+        inst = random_cluster_chordal_instance(rng.randint(5, 9), 3, 3, 3, seed=1000 + i)
+        out.append((inst, rng.randint(1, 3), rng.randint(1, 4)))
+    return out
+
+
+def _digest(obj) -> str:
+    return hashlib.sha256(json.dumps(obj).encode()).hexdigest()
+
+
+def test_pinned_exhaustive_witnesses_and_randomized_weights():
+    # digests recorded before the coloring families were merged: exhaustive
+    # witnesses must not move, randomized runs may pick another tied witness
+    cases = _tie_heavy_set()
+    witnesses = []
+    for inst, c, ell in cases:
+        sol = mwccs_cluster_chordal(inst, c, ell, EX)
+        witnesses.append(
+            [sorted(sol.vertices), sorted(sol.color_assignment.items()), sol.weight]
+        )
+    assert _digest(witnesses) == (
+        "2034da14d3c946ed8bed291ce6d86fb382778f19293d5cff96c3d70296d478ea"
+    )
+    spec = ColoringFamilySpec(Mode.RANDOMIZED, epsilon=0.1, seed=7)
+    weights = [mwccs_cluster_chordal(inst, c, ell, spec).weight for inst, c, ell in cases]
+    assert _digest(weights) == (
+        "34f22d0eb7239c7365b0d431d8fc0165f9c1cc657464ed125493eea3144c4700"
+    )
+
+
+def test_family_cap_at_creation(monkeypatch):
+    assert FAMILY_CAP == 2**24
+    for m, k in ((24, 2), (12, 4)):  # k^m equals the cap: accepted
+        family = _colorings(m, k, 1.0, EX)
+        assert next(family) == (1,) * m
+    for m, k in ((25, 2), (13, 4)):
+        with pytest.raises(SizeCapError, match="randomized"):
+            _colorings(m, k, 1.0, EX)
+    # both levels ask for the capped family; a stub stands in for the walk
+    made = []
+
+    def no_walk(m, k):
+        made.append((m, k))
+        return iter(())
+
+    monkeypatch.setattr(colorcoding, "_partition_colorings", no_walk)
+    path24 = Graph(24, [(i, i + 1) for i in range(23)])
+    outer = WeightedInstance.unit(path24)
+    assert mwccs_from_mwis(outer, 2, 3, _brute_bounded_solver, EX).weight == 0
+    with pytest.raises(SizeCapError):
+        mwccs_from_mwis(
+            WeightedInstance.unit(Graph(25, [])), 2, 3, _brute_bounded_solver, EX
+        )
+    engine = ClusterChordalEngine(_chordal_with_singletons(outer))
+    assert [s.weight for s in engine.bounded_vector(2, EX)] == [0, 0, 0]
+    with pytest.raises(SizeCapError):
+        ClusterChordalEngine(
+            _chordal_with_singletons(WeightedInstance.unit(Graph(13, [])))
+        ).bounded_vector(4, EX)
+    assert made == [(24, 2), (24, 2)]
