@@ -45,12 +45,34 @@ def parse_instance_text(text: str) -> WeightedInstance:
         return v - 1
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("c ") or line == "c":
+        parts = raw.split()
+        if not parts or parts[0] == "c" and raw.strip()[:2] in ("c", "c "):
             continue
-        parts = line.split()
         kind = parts[0]
-        if kind == "p":
+        if kind == "e":
+            if n is None:
+                raise ParseError("header must come first", lineno)
+            if len(parts) not in (3, 4):
+                raise ParseError("`e` takes two vertices and an optional tag", lineno)
+            try:
+                u, v = int(parts[1]) - 1, int(parts[2]) - 1
+            except ValueError:
+                u = v = -1
+            if not (0 <= u < n and 0 <= v < n):
+                vertex(parts[1], lineno)  # raises the first id's error, if any
+                vertex(parts[2], lineno)
+            if u == v:
+                raise ParseError("self-loop", lineno)
+            tag = None
+            if len(parts) == 4:
+                if parts[3] not in ("C", "H"):
+                    raise ParseError(f"edge tag must be C or H, got {parts[3]!r}", lineno)
+                tag = parts[3]
+            key = (u, v) if u < v else (v, u)
+            if key in edges:
+                raise ParseError(f"duplicate edge {u + 1} {v + 1}", lineno)
+            edges[key] = tag
+        elif kind == "p":
             if n is not None:
                 raise ParseError("duplicate header", lineno)
             if len(parts) != 4 or parts[1] != "iki":
@@ -79,23 +101,6 @@ def parse_instance_text(text: str) -> WeightedInstance:
             if kind == "col" and val < 1:
                 raise ParseError("colors are 1-based", lineno)
             store[v] = val
-        elif kind == "e":
-            if n is None:
-                raise ParseError("header must come first", lineno)
-            if len(parts) not in (3, 4):
-                raise ParseError("`e` takes two vertices and an optional tag", lineno)
-            u, v = vertex(parts[1], lineno), vertex(parts[2], lineno)
-            if u == v:
-                raise ParseError("self-loop", lineno)
-            tag = None
-            if len(parts) == 4:
-                if parts[3] not in ("C", "H"):
-                    raise ParseError(f"edge tag must be C or H, got {parts[3]!r}", lineno)
-                tag = parts[3]
-            key = (u, v) if u < v else (v, u)
-            if key in edges:
-                raise ParseError(f"duplicate edge {u + 1} {v + 1}", lineno)
-            edges[key] = tag
         else:
             raise ParseError(f"unknown line kind {kind!r}", lineno)
 
@@ -111,8 +116,6 @@ def parse_instance_text(text: str) -> WeightedInstance:
     if edges and None not in tags:
         cluster_edges = frozenset(e for e, t in edges.items() if t == "C")
         chordal_edges = frozenset(e for e, t in edges.items() if t == "H")
-    elif not edges and (weights or colors or clusters):
-        pass  # edgeless instances carry no witness either way
 
     if colors and len(colors) != n:
         raise ParseError("col lines must cover every vertex or none")

@@ -63,16 +63,13 @@ class Graph:
         if n < 0:
             raise ValueError("vertex count must be non-negative")
         adj: list[set[int]] = [set() for _ in range(n)]
-        seen = set()
         for u, v in edges:
             if not (0 <= u < n and 0 <= v < n):
                 raise ValueError(f"edge ({u},{v}) out of range for n={n}")
             if u == v:
                 raise ValueError(f"self-loop at vertex {u}")
-            key = (u, v) if u < v else (v, u)
-            if key in seen:
+            if v in adj[u]:
                 raise ValueError(f"duplicate edge ({u},{v})")
-            seen.add(key)
             adj[u].add(v)
             adj[v].add(u)
         self.n = n

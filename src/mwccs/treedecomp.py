@@ -3,10 +3,8 @@ binary normal form the dynamic program consumes."""
 
 from __future__ import annotations
 
-from collections import deque
-
-from .graph import Graph, find_independent_subset
-from .recognition import verify_peo
+from .graph import Graph, find_independent_subset, induced_subgraph, is_clique
+from .recognition import is_chordal, verify_peo
 
 
 class TreeDecomposition:
@@ -148,49 +146,36 @@ def clique_tree_from_peo(g: Graph, peo) -> TreeDecomposition:
         if alive[i]:
             p = parent[i]
             new_parent[index[i]] = index[rep(p)] if p is not None else None
+    # the last vertex's bag starts parentless; such a bag is only ever
+    # absorbed by a child, which inherits no parent, so its survivor is root
     root = index[rep(bag_of[order[-1]])]
-    # re-root in case merging left the root pointer elsewhere
-    if new_parent[root] is not None:
-        # walk up to the actual root
-        r = root
-        while new_parent[r] is not None:
-            r = new_parent[r]
-        root = r
     return TreeDecomposition(new_bags, new_parent, root)
 
 
 def verify_tree_decomposition(g: Graph, td: TreeDecomposition) -> bool:
     """Check the three defining conditions: bags cover the vertices, every
-    edge lies in some bag, and each vertex's bags form a subtree."""
-    if any(v < 0 or v >= g.n for bag in td.bags for v in bag):
+    edge lies in some bag, and each vertex's bags form a subtree.
+
+    O(sum of bag sizes + m): v's bags form a subtree iff one tree edge fewer
+    than there are of them joins two of them, and two subtrees meet iff one
+    holds the other's top bag, so edge uv is covered iff top(u) holds v or
+    top(v) holds u.
+    """
+    n, bags = g.n, td.bags
+    if any(v < 0 or v >= n for bag in bags for v in bag):
         return False
-    holding: list[set[int]] = [set() for _ in range(g.n)]
-    for i, bag in enumerate(td.bags):
-        for v in bag:
-            holding[v].add(i)
-    if any(not h for h in holding):
-        return g.n == 0
-    for u, v in g.edges():
-        if holding[u].isdisjoint(holding[v]):
-            return False
-    # per-vertex connectivity over the tree
-    for v in range(g.n):
-        hold = holding[v]
-        start = next(iter(hold))
-        seen = {start}
-        queue = deque([start])
-        while queue:
-            x = queue.popleft()
-            nbrs = list(td.children[x])
-            if td.parent[x] is not None:
-                nbrs.append(td.parent[x])
-            for y in nbrs:
-                if y in hold and y not in seen:
-                    seen.add(y)
-                    queue.append(y)
-        if seen != hold:
-            return False
-    return True
+    components = [0] * n
+    top = [0] * n
+    for x in td.postorder():  # a subtree's top bag comes last
+        for v in bags[x]:
+            components[v] += 1
+            top[v] = x
+        if td.parent[x] is not None:
+            for v in bags[x] & bags[td.parent[x]]:
+                components[v] -= 1
+    if any(k != 1 for k in components):
+        return False
+    return all(u in bags[top[v]] for u in range(n) for v in g.adj[u] - bags[top[u]])
 
 
 def normalize_binary(td: TreeDecomposition) -> TreeDecomposition:
@@ -239,9 +224,23 @@ def normalize_binary(td: TreeDecomposition) -> TreeDecomposition:
 
 
 def bag_alpha(g: Graph, td: TreeDecomposition) -> int:
-    """Largest independence number over the bags (brute force per bag)."""
+    """Largest independence number over the bags: 1 on a clique, greedy
+    along a perfect elimination ordering on any other chordal bag (maximum
+    there, Gavril 1972), branching search on the rest."""
     best = 0
     for bag in td.bags:
+        if is_clique(g, bag):
+            best = max(best, min(len(bag), 1))
+            continue
+        sub, _ = induced_subgraph(g, bag)
+        peo = is_chordal(sub)
+        if peo is not None:
+            taken = 0
+            for v in peo:
+                if not sub.mask[v] & taken:
+                    taken |= 1 << v
+            best = max(best, taken.bit_count())
+            continue
         size = best
         while find_independent_subset(g, bag, size + 1) is not None:
             size += 1

@@ -46,6 +46,41 @@ def test_parse_errors_carry_line_numbers():
         parse_instance_text("p iki 2 1\ne 1 2 C\np iki 2 1\n")  # dup header
 
 
+
+@pytest.mark.parametrize(
+    "text, line, message",
+    [
+        ("p iki 3 1\ne x 2\n", 2, "bad vertex id 'x'"),
+        ("p iki 3 1\ne 1 y\n", 2, "bad vertex id 'y'"),
+        ("p iki 3 1\ne 2.0 1\n", 2, "bad vertex id '2.0'"),
+        # the first id's error wins, whatever is wrong with the second
+        ("p iki 3 1\ne x 9\n", 2, "bad vertex id 'x'"),
+        ("p iki 3 1\ne 9 x\n", 2, "vertex 9 out of range"),
+        ("p iki 3 1\ne 0 2\n", 2, "vertex 0 out of range"),
+        ("p iki 3 1\ne 1 4\n", 2, "vertex 4 out of range"),
+        ("p iki 0 1\ne 1 1\n", 2, "vertex 1 out of range"),
+        ("p iki 3 1\ne 2 2\n", 2, "self-loop"),
+        ("p iki 3 2\ne 1 2\nc note\ne 2 1\n", 4, "duplicate edge 2 1"),
+        ("p iki 3 1\ne 1 2 X\n", 2, "edge tag must be C or H, got 'X'"),
+        ("p iki 3 1\ne 1\n", 2, "`e` takes two vertices and an optional tag"),
+        ("p iki 3 1\ne 1 2 C H\n", 2, "`e` takes two vertices and an optional tag"),
+        ("e 1 2\np iki 3 1\n", 1, "header must come first"),
+        ("p iki 3 1\nc\te 1 2\n", 2, "unknown line kind 'c'"),
+        ("p iki 3 2\ne 1 2 C\ne 2 3\n", None, "either all edges carry a C/H tag or none does"),
+    ],
+)
+def test_edge_line_errors_keep_messages(text, line, message):
+    with pytest.raises(ParseError) as err:
+        parse_instance_text(text)
+    assert err.value.line == line
+    assert str(err.value) == (f"line {line}: {message}" if line else message)
+
+
+def test_comments_and_spacing():
+    inst = parse_instance_text("p iki 3 2\n  c  spaced comment\nc\n e  1   2 \ne +2 3\n")
+    assert inst.graph.edges() == [(0, 1), (1, 2)]
+
+
 def test_tag_discipline():
     with pytest.raises(ParseError, match="all edges"):
         parse_instance_text("p iki 3 2\ne 1 2 C\ne 2 3\n")

@@ -30,6 +30,8 @@ def test_graph_construction_rejects_bad_edges():
         Graph(3, [(0, 3)])
     with pytest.raises(ValueError):
         Graph(3, [(0, 1), (1, 0)])
+    with pytest.raises(ValueError, match=r"^duplicate edge \(2,1\)$"):
+        Graph(3, [(0, 1), (1, 2), (2, 1)])
 
 
 def test_neighborhood():

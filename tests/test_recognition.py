@@ -226,3 +226,64 @@ def test_hamiltonicity_matches_brute_force():
                      (7, 4), (0, 4), (1, 5), (2, 6), (3, 7)])
     for g in (complete_bipartite(3, 3), cube, petersen_graph()):
         assert hamiltonicity_via_decomposition(g) == brute_hamiltonian_cycle(g)
+
+
+def _reference_verify_peo(g, order):
+    """The quadratic definition: every vertex's later neighbors pairwise
+    adjacent."""
+    order = list(order)
+    if sorted(order) != list(range(g.n)):
+        raise ValueError("ordering is not a permutation of the vertex ids")
+    pos = {v: i for i, v in enumerate(order)}
+    for v in order:
+        later = [u for u in g.adj[v] if pos[u] > pos[v]]
+        for i, a in enumerate(later):
+            for b in later[i + 1 :]:
+                if not g.has_edge(a, b):
+                    return False
+    return True
+
+
+def test_verify_peo_matches_quadratic_reference():
+    rng = random.Random(8)
+    verdicts = {True: 0, False: 0}
+    for trial in range(5000):
+        n = rng.randint(0, 10)
+        if trial % 3 == 0:
+            g = random_chordal(n, rng.randint(1, 5), trial)
+        else:
+            g = random_graph(n, rng.random(), trial)
+        orders = [list(range(n)), list(reversed(maximum_cardinality_search(g)))]
+        orders.append(rng.sample(range(n), n))
+        for order in orders:
+            want = _reference_verify_peo(g, order)
+            assert verify_peo(g, order) == want, (trial, order)
+            verdicts[want] += 1
+        # non-permutations: a repeat, a missing id, an id out of range
+        broken = [list(range(n)) + [0], list(range(n))[:-1], list(range(1, n + 1))]
+        if n >= 2:
+            perm = rng.sample(range(n), n)
+            broken.append(perm[:-1] + perm[:1])
+        for order in broken if n else [[0]]:
+            with pytest.raises(ValueError):
+                _reference_verify_peo(g, order)
+            with pytest.raises(ValueError):
+                verify_peo(g, order)
+    assert min(verdicts.values()) > 2000
+
+
+def test_recognition_cliff_one_clique_of_1200():
+    from mwccs.dp import max_weight_is_chordal
+    from mwccs.graph import WeightedInstance
+    from mwccs.treedecomp import clique_tree_from_peo
+
+    n = 1200
+    g = complete_graph(n)
+    peo = is_chordal(g)
+    assert peo is not None
+    td = clique_tree_from_peo(g, peo)
+    assert len(td) == 1 and td.bags[0] == frozenset(range(n))
+    weights = tuple((v * 37) % 1000 for v in range(n))
+    sol = max_weight_is_chordal(WeightedInstance(g, weights), td)
+    heaviest = max(range(n), key=lambda v: (weights[v], -v))
+    assert sol.vertices == {heaviest} and sol.weight == weights[heaviest]

@@ -1,4 +1,6 @@
+import hashlib
 import random
+from collections import deque
 
 import pytest
 
@@ -125,3 +127,107 @@ def test_serialization_round_trip():
         assert back.bags == td.bags
         assert back.parent == td.parent
         assert back.root == td.root
+
+
+def _reference_verify_tree_decomposition(g, td):
+    """Vertex coverage, edge coverage by bag-set intersection, and a BFS
+    per vertex over the bags holding it."""
+    if any(v < 0 or v >= g.n for bag in td.bags for v in bag):
+        return False
+    holding = [set() for _ in range(g.n)]
+    for i, bag in enumerate(td.bags):
+        for v in bag:
+            holding[v].add(i)
+    if any(not h for h in holding):
+        return False
+    for u, v in g.edges():
+        if holding[u].isdisjoint(holding[v]):
+            return False
+    for v in range(g.n):
+        hold = holding[v]
+        start = next(iter(hold))
+        seen = {start}
+        queue = deque([start])
+        while queue:
+            x = queue.popleft()
+            nbrs = list(td.children[x])
+            if td.parent[x] is not None:
+                nbrs.append(td.parent[x])
+            for y in nbrs:
+                if y in hold and y not in seen:
+                    seen.add(y)
+                    queue.append(y)
+        if seen != hold:
+            return False
+    return True
+
+
+def _corrupted(td, n, rng):
+    """A copy of td with one random defect that may or may not break it:
+    a vertex dropped from or added to a bag, or a bag moved under another
+    parent; None if the move would not leave a tree."""
+    bags = [set(b) for b in td.bags]
+    parent = list(td.parent)
+    i = rng.randrange(len(bags))
+    kind = rng.randrange(3)
+    if kind == 0 and bags[i]:
+        bags[i].discard(rng.choice(sorted(bags[i])))
+    elif kind == 1:
+        bags[i].add(rng.randrange(n + 1))  # n itself is out of range
+    elif parent[i] is not None:
+        parent[i] = rng.randrange(len(bags))
+    try:
+        return TreeDecomposition(bags, parent, td.root)
+    except ValueError:
+        return None
+
+
+def test_verify_tree_decomposition_matches_bfs_reference():
+    rng = random.Random(5)
+    verdicts = {True: 0, False: 0}
+    for trial in range(1500):
+        n = rng.randint(1, 10)
+        full = random_chordal(n, rng.randint(1, 5), trial)
+        td = clique_tree_from_peo(full, is_chordal(full))
+        # the clique tree of a chordal supergraph decomposes any spanning
+        # subgraph too; an extra edge may leave it uncovered
+        edges = [e for e in full.edges() if rng.random() < 0.8]
+        if rng.random() < 0.3:
+            u, v = rng.sample(range(n), 2) if n > 1 else (0, 0)
+            if u != v and (min(u, v), max(u, v)) not in edges:
+                edges.append((u, v))
+        g = Graph(n, edges)
+        cases = [td] + [_corrupted(td, n, rng) for _ in range(3)]
+        for case in cases:
+            if case is None:
+                continue
+            for form in (case, normalize_binary(case)):
+                want = _reference_verify_tree_decomposition(g, form)
+                assert verify_tree_decomposition(g, form) == want, trial
+                verdicts[want] += 1
+    assert min(verdicts.values()) > 2000
+
+
+def test_bag_alpha_of_one_bag_path():
+    n = 3000
+    g = path_graph(n)
+    assert bag_alpha(g, TreeDecomposition([frozenset(range(n))], [None], 0)) == n // 2
+    # non-chordal bags keep the branching search: C5 plus a disjoint edge
+    g = Graph(7, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0), (5, 6)])
+    assert bag_alpha(g, TreeDecomposition([frozenset(range(7))], [None], 0)) == 3
+
+
+# sha256 over (PEO, sorted bags, parents, root) of 200 random chordal
+# graphs, recorded before verify_peo and verify_tree_decomposition became
+# linear; MCS and the clique-tree construction must stay byte-stable
+_PINNED_CLIQUE_TREES = "92b39ccc95aa1323f78f909956dadf60b1d99ffb60e619e5fefd765003a9e6ed"
+
+
+def test_peo_and_clique_tree_pinned():
+    h = hashlib.sha256()
+    for seed in range(200):
+        g = random_chordal(seed % 90 + 1, seed % 9 + 1, seed + 7000)
+        peo = is_chordal(g)
+        td = clique_tree_from_peo(g, peo)
+        h.update(repr((peo, [sorted(b) for b in td.bags], td.parent, td.root)).encode())
+    assert h.hexdigest() == _PINNED_CLIQUE_TREES
