@@ -3,7 +3,8 @@ import random
 
 import pytest
 
-from mwccs.graph import Graph, SizeCapError
+from mwccs.dp import max_weight_is_chordal
+from mwccs.graph import Graph, SizeCapError, WeightedInstance
 from mwccs.oracle import brute_find_hole, brute_hamiltonian_cycle
 from mwccs.recognition import (
     brute_force_cluster_chordal,
@@ -21,6 +22,7 @@ from mwccs.recognition import (
     verify_peo,
 )
 from mwccs.generators import random_chordal
+from mwccs.treedecomp import clique_tree_from_peo
 
 from conftest import (
     complete_bipartite,
@@ -273,10 +275,6 @@ def test_verify_peo_matches_quadratic_reference():
 
 
 def test_recognition_cliff_one_clique_of_1200():
-    from mwccs.dp import max_weight_is_chordal
-    from mwccs.graph import WeightedInstance
-    from mwccs.treedecomp import clique_tree_from_peo
-
     n = 1200
     g = complete_graph(n)
     peo = is_chordal(g)
