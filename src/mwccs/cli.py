@@ -67,7 +67,6 @@ def _build_parser() -> _Parser:
     p.add_argument("instance")
     p.add_argument("--c", type=int, required=True)
     add_family_flags(p)
-    p.add_argument("--jobs", type=int, default=1)
     add_output_flags(p)
     p = solve.add_parser("mwis")
     p.add_argument("instance")
@@ -166,9 +165,7 @@ def _cmd_solve(args) -> int:
                 )
                 return EXIT_ABSENT
             inst = _with_singleton_clusters(inst)
-        sol = colorcoding.mwccs_cluster_chordal(
-            inst, args.c, args.ell, spec, stats, jobs=args.jobs
-        )
+        sol = colorcoding.mwccs_cluster_chordal(inst, args.c, args.ell, spec, stats)
         sol.validate(inst, args.c)
         elapsed = int((time.monotonic() - started) * 1000)
         _emit_solution(args, sol, spec.mode.value, spec.seed,

@@ -17,16 +17,15 @@ optimal with probability at least 1 - epsilon, always returning a feasible
 set.
 
 The subgraph reduction keeps the first coloring, in family order, that
-reaches the heaviest weight.  With jobs > 1 a randomized family is split
-into contiguous chunks that run the same loop in a process pool; a later
-chunk's answer replaces an earlier one only if it is strictly heavier, so
-the answer is the sequential one whatever the number of workers.
+reaches the heaviest weight.  Its answer holds at most one vertex per
+(class, cluster) pair and at most ell in all, so the ell heaviest pair
+maxima bound a coloring's optimum; a coloring whose bound does not beat the
+incumbent could not replace it and is skipped before any class query.
 """
 
 from __future__ import annotations
 
 import math
-import os
 import random
 from dataclasses import dataclass
 from enum import Enum
@@ -41,6 +40,7 @@ from .graph import (
     ValidationError,
     WeightedInstance,
     better_solution,
+    is_clique,
 )
 from .recognition import find_cluster_violation, is_chordal
 from .treedecomp import clique_tree_from_peo
@@ -348,40 +348,56 @@ def _size_partitions(ell: int, j: int) -> tuple[tuple[int, ...], ...]:
     return tuple(enumerate_size_partitions(ell, j))
 
 
-def _best_over_colorings(colorings, c, ell, class_vector) -> tuple[Solution, int]:
-    """Optimum over a run of vertex colorings, and the number of colorings.
+def _coloring_bound(coloring, c, ell, weights, label) -> int:
+    """Upper bound on a coloring's optimum: the sum of the ell heaviest
+    (class, label) pair maxima, where the vertices of a label form a clique."""
+    top: dict[int, int] = {}
+    for v, col in enumerate(coloring):
+        key = label[v] * c + col
+        if weights[v] > top.get(key, -1):
+            top[key] = weights[v]
+    return sum(sorted(top.values(), reverse=True)[:ell])
+
+
+def _best_over_colorings(
+    colorings, c, ell, class_vector, weights, label
+) -> tuple[Solution, int, int]:
+    """Optimum over a run of vertex colorings, the number of colorings and
+    the number skipped by the weight bound or the ceiling.
 
     The first coloring in order that reaches the heaviest weight wins, with
-    its first heaviest size split; so does a run split into chunks whose
-    answers are merged in order on strictly heavier weight.
+    its first heaviest size split.
     """
     best = Solution(frozenset(), 0, {})
-    trials = 0
+    trials = skipped = 0
+    groups: dict[int, list[int]] = {}
+    for v, k in enumerate(label):
+        groups.setdefault(k, []).append(weights[v])
+    # no bound exceeds this: a clique holds at most c vertices of the answer
+    top = sorted((w for ws in groups.values() for w in sorted(ws)[-c:]), reverse=True)
+    ceiling = sum(top[:ell])
     for coloring in colorings:
         trials += 1
+        if best.weight >= ceiling or (
+            _coloring_bound(coloring, c, ell, weights, label) <= best.weight
+        ):
+            skipped += 1
+            continue
         classes: list[list[int]] = [[] for _ in range(c)]
         for v, col in enumerate(coloring):
             classes[col - 1].append(v)
         blocks = [frozenset(cls) for cls in classes if cls]
         pairs = [class_vector(b) for b in blocks]
-        cap = 0
-        for p in pairs:
-            cap += p[1][-1]
-        if cap <= best.weight:
+        if sum(p[1][-1] for p in pairs) <= best.weight:
             continue  # not even every class at the full budget beats best
-        wvecs = [p[1] for p in pairs]
-        best_total = best.weight
-        best_bounds = None
+        best_total, best_bounds = best.weight, None
         for bounds in _size_partitions(ell, len(blocks)):
-            total = 0
-            for i, b in enumerate(bounds):
-                total += wvecs[i][b]
+            total = sum(p[1][b] for p, b in zip(pairs, bounds))
             if total > best_total:
-                best_total = total
-                best_bounds = bounds
+                best_total, best_bounds = total, bounds
         if best_bounds is not None:
             best = _assemble(best_bounds, [p[0] for p in pairs])
-    return best, trials
+    return best, trials, skipped
 
 
 def _vertex_colorings(
@@ -400,17 +416,6 @@ def _vertex_colorings(
     return _colorings(n, c, float(c) ** ell, spec)
 
 
-def _checked(inst, c, ell, best: Solution, trials: int, stats) -> Solution:
-    """Epilogue of a sequential or pooled run: count its colorings and
-    re-validate the witness."""
-    if stats is not None:
-        stats["trials"] = stats.get("trials", 0) + trials
-    best.validate(inst, c)
-    if len(best.vertices) > ell:
-        raise ValidationError("solution exceeds the vertex budget")
-    return best
-
-
 def mwccs_from_mwis(
     inst: WeightedInstance,
     c: int,
@@ -418,6 +423,8 @@ def mwccs_from_mwis(
     mwis_bounded_solver: Callable[[WeightedInstance, int], Solution],
     spec: ColoringFamilySpec,
     stats: dict | None = None,
+    *,
+    clusters: list[frozenset[int]] | None = None,
 ) -> Solution:
     """Max-weight induced c-colorable subgraph with at most ell vertices,
     via bounded MWIS on the classes of vertex colorings.
@@ -425,12 +432,29 @@ def mwccs_from_mwis(
     The solver must be exact on induced sub-instances (the class is
     hereditary).  EXHAUSTIVE mode walks every coloring of the vertex set
     into at most c classes and is exact; RANDOMIZED mode draws
-    ceil(c^ell * ln(1/epsilon)) uniform colorings.
+    ceil(c^ell * ln(1/epsilon)) uniform colorings.  clusters are disjoint
+    cliques that tighten the weight bound (default: one per vertex).  stats
+    gains "trials" and "skipped" (colorings ruled out by the bound).
     """
     family = _vertex_colorings(inst, c, ell, spec)
+    n = inst.graph.n
+    label = list(range(n))
+    for k, comp in enumerate(clusters or ()):
+        if not is_clique(inst.graph, comp):
+            raise ValueError("clusters must be cliques of the graph")
+        for v in comp:
+            label[v] = n + k
     class_vector = _class_vector_fn(inst, ell, mwis_bounded_solver)
-    best, trials = _best_over_colorings(family, c, ell, class_vector)
-    return _checked(inst, c, ell, best, trials, stats)
+    best, trials, skipped = _best_over_colorings(
+        family, c, ell, class_vector, inst.weights, label
+    )
+    if stats is not None:
+        stats["trials"] = stats.get("trials", 0) + trials
+        stats["skipped"] = stats.get("skipped", 0) + skipped
+    best.validate(inst, c)
+    if len(best.vertices) > ell:
+        raise ValidationError("solution exceeds the vertex budget")
+    return best
 
 
 def mwccs_cluster_chordal(
@@ -439,40 +463,12 @@ def mwccs_cluster_chordal(
     ell: int,
     spec: ColoringFamilySpec,
     stats: dict | None = None,
-    jobs: int = 1,
 ) -> Solution:
     """The full pipeline: max-weight c-colorable subgraph with at most ell
-    vertices of a cluster+chordal graph with a given decomposition witness.
-
-    With jobs > 1, a randomized run splits its colorings into contiguous
-    chunks for a process pool of min(jobs, chunks, CPUs) workers; the
-    answer is the one jobs=1 gives.
-    """
-    if jobs < 1:
-        raise ValueError("jobs must be at least 1")
-    _, chordal_g = decomposition_parts(inst)  # validate the witness up front
+    vertices of a cluster+chordal graph with a given decomposition witness."""
+    clusters, chordal_g = decomposition_parts(inst)  # validate the witness up front
     if is_chordal(chordal_g) is None:
         raise ValueError("chordal-tagged edges do not form a chordal graph")
-    solver = ClusterChordalSolver(spec)
-    if spec.mode == Mode.RANDOMIZED and jobs > 1:
-        family = list(_vertex_colorings(inst, c, ell, spec))
-        workers = min(jobs, len(family), os.cpu_count() or 1)
-        if workers > 1:
-            from concurrent.futures import ProcessPoolExecutor
-
-            size = -(-len(family) // workers)
-            chunks = [family[i : i + size] for i in range(0, len(family), size)]
-            best = Solution(frozenset(), 0, {})
-            with ProcessPoolExecutor(max_workers=len(chunks)) as pool:
-                args = [(inst, c, ell, solver, chunk) for chunk in chunks]
-                for got in pool.map(_chunk_best, args):
-                    if got.weight > best.weight:  # earlier chunks win ties
-                        best = got
-            return _checked(inst, c, ell, best, len(family), stats)
-    return mwccs_from_mwis(inst, c, ell, solver, spec, stats)
-
-
-def _chunk_best(args) -> Solution:
-    inst, c, ell, solver, colorings = args
-    class_vector = _class_vector_fn(inst, ell, solver)
-    return _best_over_colorings(colorings, c, ell, class_vector)[0]
+    return mwccs_from_mwis(
+        inst, c, ell, ClusterChordalSolver(spec), spec, stats, clusters=clusters
+    )

@@ -139,19 +139,14 @@ def test_unexpected_exception_is_internal_error(tmp_path, capsys, monkeypatch):
 
 
 def test_jobs_only_on_solve_mwccs(tmp_path, capsys):
+    # the process pool is gone: --jobs is a usage error on every solve
     path = tmp_path / "p4.iki"
     write_instance(WeightedInstance.unit(path_graph(4)), path)
-    code, _, err = run_cli(["solve", "mwis", str(path), "--jobs", "2"], capsys)
-    assert code == 64 and "--jobs" in err
-    code, _, _ = run_cli(
-        ["solve", "mwccs", str(path), "--c", "1", "--ell", "2", "--jobs", "1"], capsys
-    )
-    assert code == 0
-    for jobs in ("0", "-3"):
-        code, out, err = run_cli(
-            ["solve", "mwccs", str(path), "--c", "1", "--ell", "2", "--jobs", jobs], capsys
-        )
-        assert code == 64 and out == "" and "jobs" in err
+    for argv in (["mwccs", str(path), "--c", "1", "--ell", "2"],
+                 ["mwis", str(path)], ["colorful", str(path)]):
+        for jobs in ("1", "2"):
+            code, out, err = run_cli(["solve", *argv, "--jobs", jobs], capsys)
+            assert code == 64 and out == "" and "--jobs" in err
 
 
 def test_recognize_verdicts(tmp_path, capsys):

@@ -1,8 +1,6 @@
-import concurrent.futures
 import hashlib
 import json
 import math
-import os
 import random
 
 import pytest
@@ -11,9 +9,15 @@ from mwccs import colorcoding
 from mwccs.colorcoding import (
     FAMILY_CAP,
     ClusterChordalEngine,
+    ClusterChordalSolver,
     ColoringFamilySpec,
     Mode,
+    _assemble,
+    _class_vector_fn,
+    _coloring_bound,
     _colorings,
+    _size_partitions,
+    _vertex_colorings,
     decomposition_parts,
     enumerate_size_partitions,
     mwccs_cluster_chordal,
@@ -275,60 +279,6 @@ def test_hash_family_cap():
         mwis_cluster_chordal(inst, 6, EX)
 
 
-def test_parallel_jobs_match_sequential():
-    inst = random_cluster_chordal_instance(10, 3, 3, 9, seed=15)
-    spec = ColoringFamilySpec(Mode.RANDOMIZED, epsilon=0.1, seed=2)
-    seq = mwccs_cluster_chordal(inst, 2, 3, spec, jobs=1)
-    par = mwccs_cluster_chordal(inst, 2, 3, spec, jobs=2)
-    assert solution_sort_key(seq) == solution_sort_key(par)
-
-
-def test_jobs_must_be_positive():
-    inst = random_cluster_chordal_instance(6, 2, 3, 5, seed=2)
-    spec = ColoringFamilySpec(Mode.RANDOMIZED, epsilon=0.1, seed=2)
-    for jobs in (0, -1):
-        with pytest.raises(ValueError, match="jobs"):
-            mwccs_cluster_chordal(inst, 2, 3, spec, jobs=jobs)
-
-
-def test_pool_workers_bounded_by_jobs_chunks_and_cpus(monkeypatch):
-    sizes: list[int] = []
-
-    class InlinePool:
-        """Records max_workers and runs the chunks here; starts no process."""
-
-        def __init__(self, max_workers):
-            sizes.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, iterable):
-            return map(fn, iterable)
-
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
-    monkeypatch.setattr(os, "cpu_count", lambda: 3)
-    inst = random_cluster_chordal_instance(10, 3, 3, 9, seed=15)
-    spec = ColoringFamilySpec(Mode.RANDOMIZED, epsilon=0.1, seed=2)
-    seq_stats: dict = {}
-    seq = mwccs_cluster_chordal(inst, 2, 3, spec, seq_stats)
-    for jobs, workers in ((2, 2), (5000, 3)):
-        sizes.clear()
-        stats: dict = {}
-        got = mwccs_cluster_chordal(inst, 2, 3, spec, stats, jobs=jobs)
-        assert sizes == [workers]
-        assert solution_sort_key(got) == solution_sort_key(seq)
-        assert stats == seq_stats
-    # two colorings make two chunks, whatever jobs asks for
-    sizes.clear()
-    capped = ColoringFamilySpec(Mode.RANDOMIZED, epsilon=0.1, seed=2, trial_cap=2)
-    mwccs_cluster_chordal(inst, 2, 3, capped, jobs=5000)
-    assert sizes == [2]
-
-
 def test_exhaustive_inner_set_partitions_match_brute():
     # 13 singleton clusters exceed IDENTITY_COLOR_CAP, so bounded_vector walks
     # the set partitions of the clusters into at most ell blocks
@@ -409,3 +359,126 @@ def test_family_cap_at_creation(monkeypatch):
             _chordal_with_singletons(WeightedInstance.unit(Graph(13, [])))
         ).bounded_vector(4, EX)
     assert made == [(24, 2), (24, 2)]
+
+
+def _unpruned_walk(colorings, c, ell, class_vector):
+    """The subgraph reduction's walk without the weight bound: every
+    coloring's classes are queried.  Returns (best, trials)."""
+    best = Solution(frozenset(), 0, {})
+    trials = 0
+    for coloring in colorings:
+        trials += 1
+        classes: list[list[int]] = [[] for _ in range(c)]
+        for v, col in enumerate(coloring):
+            classes[col - 1].append(v)
+        blocks = [frozenset(cls) for cls in classes if cls]
+        pairs = [class_vector(b) for b in blocks]
+        if sum(p[1][-1] for p in pairs) <= best.weight:
+            continue
+        best_total, best_bounds = best.weight, None
+        for bounds in _size_partitions(ell, len(blocks)):
+            total = sum(p[1][b] for p, b in zip(pairs, bounds))
+            if total > best_total:
+                best_total, best_bounds = total, bounds
+        if best_bounds is not None:
+            best = _assemble(best_bounds, [p[0] for p in pairs])
+    return best, trials
+
+
+def _assert_matches_unpruned(got, stats, inst, c, ell, solver, spec):
+    want, trials = _unpruned_walk(
+        _vertex_colorings(inst, c, ell, spec), c, ell, _class_vector_fn(inst, ell, solver)
+    )
+    assert got.weight == want.weight
+    assert got.vertices == want.vertices
+    assert got.color_assignment == want.color_assignment
+    assert stats["trials"] == trials
+
+
+def test_pruned_walk_matches_unpruned_walk():
+    # weights 0..3 make optima tied often, so a skipped coloring that would
+    # have won a tie would show up as a different witness
+    for i in range(300):
+        rng = random.Random(i)
+        inst = random_cluster_chordal_instance(rng.randint(5, 10), 3, 3, 3, seed=3000 + i)
+        c, ell = rng.randint(1, 3), rng.randint(1, 5)
+        clusters = decomposition_parts(inst)[0]
+        for spec in (EX, ColoringFamilySpec(Mode.RANDOMIZED, epsilon=0.1, seed=i)):
+            stats: dict = {}
+            got = mwccs_from_mwis(
+                inst, c, ell, _brute_bounded_solver, spec, stats, clusters=clusters
+            )
+            _assert_matches_unpruned(got, stats, inst, c, ell, _brute_bounded_solver, spec)
+    # the full pipeline, whose class vectors come from the cluster engine
+    for i, (inst, c, ell) in enumerate(_tie_heavy_set()):
+        for spec in (EX, ColoringFamilySpec(Mode.RANDOMIZED, epsilon=0.1, seed=i)):
+            stats = {}
+            got = mwccs_cluster_chordal(inst, c, ell, spec, stats)
+            solver = ClusterChordalSolver(spec)
+            _assert_matches_unpruned(got, stats, inst, c, ell, solver, spec)
+    # no witness: every vertex is its own clique
+    from conftest import random_graph
+
+    for i in range(60):
+        rng = random.Random(i)
+        n = rng.randint(4, 8)
+        inst = WeightedInstance(
+            random_graph(n, 0.4, i + 70), tuple(rng.randint(0, 3) for _ in range(n))
+        )
+        c, ell = rng.randint(1, 3), rng.randint(1, 5)
+        for spec in (EX, ColoringFamilySpec(Mode.RANDOMIZED, epsilon=0.1, seed=i)):
+            stats = {}
+            got = mwccs_from_mwis(inst, c, ell, _brute_bounded_solver, spec, stats)
+            _assert_matches_unpruned(got, stats, inst, c, ell, _brute_bounded_solver, spec)
+
+
+def test_coloring_bound_is_admissible():
+    # one cluster may feed several classes, so the bound takes one maximum
+    # per (class, cluster) pair, never one per cluster
+    for i in range(150):
+        rng = random.Random(i)
+        inst = random_cluster_chordal_instance(rng.randint(4, 9), 3, 2, 9, seed=7000 + i)
+        clusters = decomposition_parts(inst)[0]
+        label = [0] * inst.graph.n
+        for k, comp in enumerate(clusters):
+            for v in comp:
+                label[v] = k
+        c, ell = rng.randint(2, 3), rng.randint(1, 5)
+        class_vector = _class_vector_fn(inst, ell, _brute_bounded_solver)
+        for _ in range(4):
+            coloring = tuple(rng.randint(1, c) for _ in range(inst.graph.n))
+            blocks = [
+                frozenset(v for v, col in enumerate(coloring) if col == k)
+                for k in range(1, c + 1)
+            ]
+            vecs = [class_vector(b)[1] for b in blocks if b]
+            optimum = max(
+                sum(w[b] for w, b in zip(vecs, bounds))
+                for bounds in _size_partitions(ell, len(vecs))
+            )
+            assert _coloring_bound(coloring, c, ell, inst.weights, label) >= optimum
+
+
+def test_skipped_colorings_make_no_solver_calls():
+    calls = []
+
+    def counting_solver(sub, bound):
+        calls.append(bound)
+        return brute_mwis(sub, ell_cap=bound)
+
+    inst = random_cluster_chordal_instance(8, 3, 3, 9, seed=11)
+    stats: dict = {}
+    got = mwccs_from_mwis(inst, 2, 3, counting_solver, EX, stats)
+    pruned_calls = len(calls)
+    calls.clear()
+    want, trials = _unpruned_walk(
+        _vertex_colorings(inst, 2, 3, EX), 2, 3, _class_vector_fn(inst, 3, counting_solver)
+    )
+    assert got.weight == want.weight and stats["trials"] == trials
+    assert 0 < stats["skipped"] <= trials
+    assert pruned_calls < len(calls)
+    with pytest.raises(ValueError, match="cliques"):
+        mwccs_from_mwis(
+            WeightedInstance.unit(Graph(3, [])), 2, 2, counting_solver, EX,
+            clusters=[frozenset({0, 1})],
+        )
