@@ -17,10 +17,11 @@ optimal with probability at least 1 - epsilon, always returning a feasible
 set.
 
 The subgraph reduction keeps the first coloring, in family order, that
-reaches the heaviest weight.  Its answer holds at most one vertex per
-(class, cluster) pair and at most ell in all, so the ell heaviest pair
-maxima bound a coloring's optimum; a coloring whose bound does not beat the
-incumbent could not replace it and is skipped before any class query.
+reaches the heaviest weight.  Its answer holds at most ell vertices and at
+most one vertex per clique inside a class, so the ell heaviest cliques of
+any clique cover of the classes bound a coloring's optimum; a coloring
+whose bound does not beat the incumbent could not replace it and is
+skipped before any class query.
 """
 
 from __future__ import annotations
@@ -40,7 +41,8 @@ from .graph import (
     ValidationError,
     WeightedInstance,
     better_solution,
-    is_clique,
+    induced_subgraph,
+    is_c_colorable,
 )
 from .recognition import find_cluster_violation, is_chordal
 from .treedecomp import clique_tree_from_peo
@@ -348,39 +350,72 @@ def _size_partitions(ell: int, j: int) -> tuple[tuple[int, ...], ...]:
     return tuple(enumerate_size_partitions(ell, j))
 
 
-def _coloring_bound(coloring, c, ell, weights, label) -> int:
-    """Upper bound on a coloring's optimum: the sum of the ell heaviest
-    (class, label) pair maxima, where the vertices of a label form a clique."""
-    top: dict[int, int] = {}
-    for v, col in enumerate(coloring):
-        key = label[v] * c + col
-        if weights[v] > top.get(key, -1):
-            top[key] = weights[v]
-    return sum(sorted(top.values(), reverse=True)[:ell])
+def _cover_bound(part, cap, ell, weights, order, mask) -> int:
+    """Upper bound on the weight of at most ell vertices that hold at most
+    cap vertices of any clique inside one part (part[v] is v's part).
+
+    A greedy clique cover of each part: vertices, heaviest first (order),
+    join the first clique of their part that they are adjacent to all of
+    (mask[v] is v's neighbor bitmask), else open one.  The ell heaviest of
+    the cliques' cap heaviest members bound the weight; as vertices come
+    heaviest first, the walk stops at the ell-th of them.
+    """
+    cliques: dict[int, list[list[int]]] = {}
+    total = taken = 0
+    for v in order:
+        own = cliques.setdefault(part[v], [])
+        for q in own:
+            if not q[0] & ~mask[v]:
+                q[0] |= 1 << v
+                break
+        else:
+            q = [1 << v, 0]
+            own.append(q)
+        if q[1] < cap:
+            q[1] += 1
+            total += weights[v]
+            taken += 1
+            if taken == ell:
+                break
+    return total
+
+
+def _greedy_floor(inst: WeightedInstance, c: int, ell: int) -> int:
+    """Weight of a feasible answer: vertices, heaviest first, join while the
+    set stays c-colorable and holds at most ell vertices."""
+    chosen: list[int] = []
+    for v in sorted(range(inst.graph.n), key=lambda v: -inst.weights[v]):
+        if len(chosen) == ell:
+            break
+        if is_c_colorable(induced_subgraph(inst.graph, chosen + [v])[0], c) is not None:
+            chosen.append(v)
+    return sum(inst.weights[v] for v in chosen)
 
 
 def _best_over_colorings(
-    colorings, c, ell, class_vector, weights, label
+    colorings, c, ell, class_vector, weights, mask, floor=0
 ) -> tuple[Solution, int, int]:
     """Optimum over a run of vertex colorings, the number of colorings and
     the number skipped by the weight bound or the ceiling.
 
     The first coloring in order that reaches the heaviest weight wins, with
-    its first heaviest size split.
+    its first heaviest size split.  The bound is a greedy clique cover of
+    each class in the graph whose neighbor bitmasks are mask.  A coloring
+    whose bound is below floor is skipped too, which keeps the answer only
+    if the answer reaches floor.
     """
     best = Solution(frozenset(), 0, {})
     trials = skipped = 0
-    groups: dict[int, list[int]] = {}
-    for v, k in enumerate(label):
-        groups.setdefault(k, []).append(weights[v])
+    order = sorted(range(len(weights)), key=lambda v: -weights[v])
     # no bound exceeds this: a clique holds at most c vertices of the answer
-    top = sorted((w for ws in groups.values() for w in sorted(ws)[-c:]), reverse=True)
-    ceiling = sum(top[:ell])
+    ceiling = _cover_bound([0] * len(weights), c, ell, weights, order, mask)
     for coloring in colorings:
         trials += 1
-        if best.weight >= ceiling or (
-            _coloring_bound(coloring, c, ell, weights, label) <= best.weight
-        ):
+        if best.weight >= ceiling:
+            skipped += 1
+            continue
+        bound = _cover_bound(coloring, 1, ell, weights, order, mask)
+        if bound <= best.weight or bound < floor:
             skipped += 1
             continue
         classes: list[list[int]] = [[] for _ in range(c)]
@@ -423,8 +458,6 @@ def mwccs_from_mwis(
     mwis_bounded_solver: Callable[[WeightedInstance, int], Solution],
     spec: ColoringFamilySpec,
     stats: dict | None = None,
-    *,
-    clusters: list[frozenset[int]] | None = None,
 ) -> Solution:
     """Max-weight induced c-colorable subgraph with at most ell vertices,
     via bounded MWIS on the classes of vertex colorings.
@@ -432,21 +465,16 @@ def mwccs_from_mwis(
     The solver must be exact on induced sub-instances (the class is
     hereditary).  EXHAUSTIVE mode walks every coloring of the vertex set
     into at most c classes and is exact; RANDOMIZED mode draws
-    ceil(c^ell * ln(1/epsilon)) uniform colorings.  clusters are disjoint
-    cliques that tighten the weight bound (default: one per vertex).  stats
-    gains "trials" and "skipped" (colorings ruled out by the bound).
+    ceil(c^ell * ln(1/epsilon)) uniform colorings.  stats gains "trials"
+    and "skipped" (colorings ruled out by the weight bound).
     """
     family = _vertex_colorings(inst, c, ell, spec)
-    n = inst.graph.n
-    label = list(range(n))
-    for k, comp in enumerate(clusters or ()):
-        if not is_clique(inst.graph, comp):
-            raise ValueError("clusters must be cliques of the graph")
-        for v in comp:
-            label[v] = n + k
     class_vector = _class_vector_fn(inst, ell, mwis_bounded_solver)
+    # an exhaustive walk is exact, so its answer reaches any feasible weight;
+    # a randomized family may fall short of it, and gets no floor
+    floor = _greedy_floor(inst, c, ell) if spec.mode == Mode.EXHAUSTIVE else 0
     best, trials, skipped = _best_over_colorings(
-        family, c, ell, class_vector, inst.weights, label
+        family, c, ell, class_vector, inst.weights, inst.graph.mask, floor
     )
     if stats is not None:
         stats["trials"] = stats.get("trials", 0) + trials
@@ -466,9 +494,7 @@ def mwccs_cluster_chordal(
 ) -> Solution:
     """The full pipeline: max-weight c-colorable subgraph with at most ell
     vertices of a cluster+chordal graph with a given decomposition witness."""
-    clusters, chordal_g = decomposition_parts(inst)  # validate the witness up front
+    _, chordal_g = decomposition_parts(inst)  # validate the witness up front
     if is_chordal(chordal_g) is None:
         raise ValueError("chordal-tagged edges do not form a chordal graph")
-    return mwccs_from_mwis(
-        inst, c, ell, ClusterChordalSolver(spec), spec, stats, clusters=clusters
-    )
+    return mwccs_from_mwis(inst, c, ell, ClusterChordalSolver(spec), spec, stats)

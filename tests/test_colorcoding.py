@@ -14,8 +14,9 @@ from mwccs.colorcoding import (
     Mode,
     _assemble,
     _class_vector_fn,
-    _coloring_bound,
     _colorings,
+    _cover_bound,
+    _greedy_floor,
     _size_partitions,
     _vertex_colorings,
     decomposition_parts,
@@ -402,12 +403,9 @@ def test_pruned_walk_matches_unpruned_walk():
         rng = random.Random(i)
         inst = random_cluster_chordal_instance(rng.randint(5, 10), 3, 3, 3, seed=3000 + i)
         c, ell = rng.randint(1, 3), rng.randint(1, 5)
-        clusters = decomposition_parts(inst)[0]
         for spec in (EX, ColoringFamilySpec(Mode.RANDOMIZED, epsilon=0.1, seed=i)):
             stats: dict = {}
-            got = mwccs_from_mwis(
-                inst, c, ell, _brute_bounded_solver, spec, stats, clusters=clusters
-            )
+            got = mwccs_from_mwis(inst, c, ell, _brute_bounded_solver, spec, stats)
             _assert_matches_unpruned(got, stats, inst, c, ell, _brute_bounded_solver, spec)
     # the full pipeline, whose class vectors come from the cluster engine
     for i, (inst, c, ell) in enumerate(_tie_heavy_set()):
@@ -416,7 +414,7 @@ def test_pruned_walk_matches_unpruned_walk():
             got = mwccs_cluster_chordal(inst, c, ell, spec, stats)
             solver = ClusterChordalSolver(spec)
             _assert_matches_unpruned(got, stats, inst, c, ell, solver, spec)
-    # no witness: every vertex is its own clique
+    # without a witness, on random graphs
     from conftest import random_graph
 
     for i in range(60):
@@ -432,31 +430,63 @@ def test_pruned_walk_matches_unpruned_walk():
             _assert_matches_unpruned(got, stats, inst, c, ell, _brute_bounded_solver, spec)
 
 
-def test_coloring_bound_is_admissible():
-    # one cluster may feed several classes, so the bound takes one maximum
-    # per (class, cluster) pair, never one per cluster
+def test_randomized_walk_below_the_greedy_floor_matches_unpruned_walk():
+    # one or two colorings often miss the greedy feasible weight, so a
+    # randomized walk must not skip colorings whose bound is below it
+    below = 0
+    for i in range(200):
+        rng = random.Random(i)
+        inst = random_cluster_chordal_instance(rng.randint(5, 10), 3, 3, 9, seed=9000 + i)
+        c, ell = rng.randint(2, 3), rng.randint(2, 5)
+        spec = ColoringFamilySpec(Mode.RANDOMIZED, seed=i, trial_cap=rng.randint(1, 2))
+        stats: dict = {}
+        got = mwccs_from_mwis(inst, c, ell, _brute_bounded_solver, spec, stats)
+        below += got.weight < _greedy_floor(inst, c, ell)
+        _assert_matches_unpruned(got, stats, inst, c, ell, _brute_bounded_solver, spec)
+    assert below > 0
+
+
+def test_cover_bound_is_admissible():
+    # one cluster may feed several classes and chordal edges join clusters,
+    # so the cover is built per class from every edge of the graph
     for i in range(150):
         rng = random.Random(i)
-        inst = random_cluster_chordal_instance(rng.randint(4, 9), 3, 2, 9, seed=7000 + i)
-        clusters = decomposition_parts(inst)[0]
-        label = [0] * inst.graph.n
-        for k, comp in enumerate(clusters):
-            for v in comp:
-                label[v] = k
-        c, ell = rng.randint(2, 3), rng.randint(1, 5)
+        inst = random_cluster_chordal_instance(rng.randint(4, 9), 3, 3, 9, seed=8000 + i)
+        n, w, mask = inst.graph.n, inst.weights, inst.graph.mask
+        order = sorted(range(n), key=lambda v: -w[v])
+        c, ell = rng.randint(1, 3), rng.randint(1, 5)
+        ceiling = _cover_bound([0] * n, c, ell, w, order, mask)
+        assert ceiling >= brute_mwccs(inst, c, ell).weight
         class_vector = _class_vector_fn(inst, ell, _brute_bounded_solver)
         for _ in range(4):
-            coloring = tuple(rng.randint(1, c) for _ in range(inst.graph.n))
+            coloring = tuple(rng.randint(1, c) for _ in range(n))
             blocks = [
                 frozenset(v for v, col in enumerate(coloring) if col == k)
                 for k in range(1, c + 1)
             ]
             vecs = [class_vector(b)[1] for b in blocks if b]
             optimum = max(
-                sum(w[b] for w, b in zip(vecs, bounds))
+                sum(v[b] for v, b in zip(vecs, bounds))
                 for bounds in _size_partitions(ell, len(vecs))
             )
-            assert _coloring_bound(coloring, c, ell, inst.weights, label) >= optimum
+            assert _cover_bound(coloring, 1, ell, w, order, mask) >= optimum
+
+
+def test_cover_bound_sees_chordal_edges():
+    # a chordal triangle of singleton clusters: two of its vertices may
+    # share a class, but not both enter that class's answer
+    inst = WeightedInstance(
+        Graph(4, [(0, 1), (1, 2), (0, 2)]), (5, 4, 3, 1),
+        cluster_edges=frozenset(), chordal_edges=frozenset({(0, 1), (1, 2), (0, 2)}),
+    )
+    order, mask = [0, 1, 2, 3], inst.graph.mask
+    coloring = (1, 1, 2, 2)
+    assert _cover_bound(coloring, 1, 3, inst.weights, order, mask) == 9
+    assert _cover_bound([0] * 4, 2, 3, inst.weights, order, mask) == 10
+    stats: dict = {}
+    got = mwccs_cluster_chordal(inst, 2, 3, EX, stats)
+    assert got.weight == brute_mwccs(inst, 2, 3).weight == 10
+    assert stats["skipped"] > 0
 
 
 def test_skipped_colorings_make_no_solver_calls():
@@ -477,8 +507,3 @@ def test_skipped_colorings_make_no_solver_calls():
     assert got.weight == want.weight and stats["trials"] == trials
     assert 0 < stats["skipped"] <= trials
     assert pruned_calls < len(calls)
-    with pytest.raises(ValueError, match="cliques"):
-        mwccs_from_mwis(
-            WeightedInstance.unit(Graph(3, [])), 2, 2, counting_solver, EX,
-            clusters=[frozenset({0, 1})],
-        )
