@@ -117,16 +117,24 @@ def _build_parser() -> _Parser:
     return top
 
 
-def _emit_solution(args, sol: Solution, mode: str, seed: int, trials: int,
-                   elapsed_ms: int | None) -> None:
-    text = fileformat.solution_to_text(
-        sol, mode, seed, trials, elapsed_ms if args.timings else None
-    )
-    if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(text)
+def _emit_solution(args, inst: WeightedInstance, sol: Solution, started: float,
+                   c: int | None = None, spec: ColoringFamilySpec | None = None,
+                   stats: dict | None = None) -> int:
+    """Validate sol against inst and write its document to -o or stdout.
+
+    Without spec the document is that of a direct, deterministic solve.
+    """
+    sol.validate(inst, c)
+    elapsed = int((time.monotonic() - started) * 1000) if args.timings else None
+    if spec is None:
+        mode, seed, trials = "direct", 0, 1
     else:
-        sys.stdout.write(text)
+        mode, seed, trials = spec.mode.value, spec.seed, stats.get("trials", 0)
+    if args.output:
+        fileformat.write_solution(sol, args.output, mode, seed, trials, elapsed)
+    else:
+        sys.stdout.write(fileformat.solution_to_text(sol, mode, seed, trials, elapsed))
+    return EXIT_OK
 
 
 def _spec_from_args(args) -> ColoringFamilySpec:
@@ -166,46 +174,30 @@ def _cmd_solve(args) -> int:
                 return EXIT_ABSENT
             inst = _with_singleton_clusters(inst)
         sol = colorcoding.mwccs_cluster_chordal(inst, args.c, args.ell, spec, stats)
-        sol.validate(inst, args.c)
-        elapsed = int((time.monotonic() - started) * 1000)
-        _emit_solution(args, sol, spec.mode.value, spec.seed,
-                       stats.get("trials", 0), elapsed)
-        return EXIT_OK
+        return _emit_solution(args, inst, sol, started, args.c, spec, stats)
     if args.problem == "mwis":
         spec = _spec_from_args(args)
+        solver_inst = inst
         if inst.has_decomposition:
             if args.ell is None:
                 raise _UsageError(
                     "solve mwis on a witnessed instance requires --ell"
                 )
-            sol = colorcoding.mwis_cluster_chordal(inst, args.ell, spec, stats)
-            sol.validate(inst)
-            elapsed = int((time.monotonic() - started) * 1000)
-            _emit_solution(args, sol, spec.mode.value, spec.seed,
-                           stats.get("trials", 0), elapsed)
-            return EXIT_OK
-        peo = recognition.is_chordal(inst.graph)
-        if peo is None:
-            print(
-                "instance is not chordal; supply a decomposition witness",
-                file=sys.stderr,
-            )
-            return EXIT_ABSENT
-        if args.ell is not None:
-            sol = colorcoding.mwis_cluster_chordal(
-                _with_singleton_clusters(inst), args.ell, spec, stats
-            )
-            sol.validate(inst)
-            elapsed = int((time.monotonic() - started) * 1000)
-            _emit_solution(args, sol, spec.mode.value, spec.seed,
-                           stats.get("trials", 0), elapsed)
-            return EXIT_OK
-        td = clique_tree_from_peo(inst.graph, peo)
-        sol = dp.max_weight_is_chordal(inst, td)
-        sol.validate(inst)
-        elapsed = int((time.monotonic() - started) * 1000)
-        _emit_solution(args, sol, "direct", 0, 1, elapsed)
-        return EXIT_OK
+        else:
+            peo = recognition.is_chordal(inst.graph)
+            if peo is None:
+                print(
+                    "instance is not chordal; supply a decomposition witness",
+                    file=sys.stderr,
+                )
+                return EXIT_ABSENT
+            if args.ell is None:
+                return _emit_solution(
+                    args, inst, dp.max_weight_is_chordal(inst, peo), started
+                )
+            solver_inst = _with_singleton_clusters(inst)
+        sol = colorcoding.mwis_cluster_chordal(solver_inst, args.ell, spec, stats)
+        return _emit_solution(args, inst, sol, started, spec=spec, stats=stats)
     # colorful
     if inst.colors is None:
         raise _UsageError("solve colorful needs col lines in the instance")
@@ -215,10 +207,7 @@ def _cmd_solve(args) -> int:
         return EXIT_ABSENT
     td = clique_tree_from_peo(inst.graph, peo)
     sol = dp.max_weight_colorful_is(inst, td, 1)
-    sol.validate(inst, inst.num_colors)
-    elapsed = int((time.monotonic() - started) * 1000)
-    _emit_solution(args, sol, "direct", 0, 1, elapsed)
-    return EXIT_OK
+    return _emit_solution(args, inst, sol, started, inst.num_colors)
 
 
 def _write_witness(path: str | None, text: str) -> None:

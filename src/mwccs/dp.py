@@ -25,18 +25,20 @@ from functools import lru_cache
 import numpy as np
 
 from .graph import (
+    SizeCapError,
     Solution,
     ValidationError,
     WeightedInstance,
     independence_bounded,
-    is_clique,
     is_independent,
 )
+from .recognition import verify_peo
 from .treedecomp import TreeDecomposition, normalize_binary, verify_tree_decomposition
 
 NEG = -(2**61)
 FEAS_MIN = -(2**60)
 MAX_COLORS = 30
+MAX_CELLS = 1 << 27  # table entries of one solve, summed over every bag's selections
 _PAIR_TABLE_MAX_C = 12  # join pair arrays up to 3^12 rows; more free colors loop outside
 _JOIN_BLOCK = 1 << 20  # pair cells per batch of join rows, which bounds the temporaries
 
@@ -208,7 +210,6 @@ class ColorfulDP:
         self.order = td.postorder()
 
         self.sels: list[list[frozenset[int]]] = []
-        self.sel_pos: list[dict[frozenset[int], int]] = []
         for bag in td.bags:
             lst = [frozenset()]
             verts = sorted(bag)
@@ -217,7 +218,7 @@ class ColorfulDP:
                     if is_independent(g, comb):
                         lst.append(frozenset(comb))
             self.sels.append(lst)
-            self.sel_pos.append({s: i for i, s in enumerate(lst)})
+        self.num_sels = sum(len(lst) for lst in self.sels)
 
         # per single-child bag: child selections grouped by intersection with
         # the parent bag, and per parent selection its group key + moved part
@@ -251,6 +252,11 @@ class ColorfulDP:
         if any(not 1 <= col <= c for col in colors):
             raise ValueError("vertex colors must lie in 1..c")
         nc = 1 << c
+        if self.num_sels * nc > MAX_CELLS:
+            raise SizeCapError(
+                f"colorful DP needs {self.num_sels * nc} table cells "
+                f"({self.num_sels} selections x 2^{c} color sets); cap is {MAX_CELLS}"
+            )
         cmask = [1 << (col - 1) for col in colors]
         call = np.arange(nc, dtype=np.int64)
 
@@ -462,88 +468,40 @@ def colorful_best_by_color_count(
     return engine.solve(inst.colors, c).best_by_color_count(max_count)
 
 
-def max_weight_is_chordal(inst: WeightedInstance, td: TreeDecomposition) -> Solution:
-    """Max-weight independent set of a chordal graph over its clique tree.
+def max_weight_is_chordal(inst: WeightedInstance, peo) -> Solution:
+    """Max-weight independent set of a chordal graph in O(n+m) from a perfect
+    elimination ordering (A. Frank, 1976).
 
-    Same recurrences as the colorful program with the color machinery
-    dropped; selections are empty or a single bag vertex.
+    A forward pass over the PEO marks each vertex whose residual weight is
+    still positive and subtracts that residual from its later neighbours; a
+    backward pass over the marked vertices keeps each one with no kept
+    neighbour.  It is exact because the marks form a clique-cover dual: each
+    mark charges its residual to the clique of its vertex and later
+    neighbours, the charges on the cliques through any vertex cover its
+    weight, and each charged clique holds exactly one kept vertex, so the
+    dual's value equals the kept weight.
     """
     g = inst.graph
-    w = inst.weights
-    _check_td(inst, td)
-    if not td.is_binary_form():
-        td = normalize_binary(td)
-    if not all(is_clique(g, bag) for bag in td.bags):
-        raise ValueError("clique tree required: found a non-clique bag")
+    if not verify_peo(g, peo):
+        raise ValueError("ordering is not a perfect elimination ordering")
+    residual = list(inst.weights)
+    marked: list[int] = []
+    dual = 0
+    for v in peo:
+        r = residual[v]
+        if r > 0:
+            marked.append(v)
+            dual += r
+            # only the later neighbours' residuals are read again
+            for u in g.adj[v]:
+                residual[u] -= r
+    kept: set[int] = set()
+    for v in reversed(marked):
+        if g.adj[v].isdisjoint(kept):
+            kept.add(v)
 
-    sels: list[list[int | None]] = [[None] + sorted(bag) for bag in td.bags]
-    values: list[dict[int | None, int] | None] = [None] * len(td)
-    bp: dict[int, dict] = {}
-
-    for x in td.postorder():
-        kids = td.children[x]
-        if not kids:
-            values[x] = {s: (w[s] if s is not None else 0) for s in sels[x]}
-        elif len(kids) == 1:
-            y = kids[0]
-            child_vals = values[y]
-            gmax: dict[int | None, int] = {}
-            garg: dict[int | None, int | None] = {}
-            for sprime, val in child_vals.items():
-                key = sprime if (sprime is not None and sprime in td.bags[x]) else None
-                if key not in gmax or val > gmax[key]:
-                    gmax[key] = val
-                    garg[key] = sprime
-            table: dict[int | None, int] = {}
-            for s in sels[x]:
-                if s is None:
-                    table[s] = gmax[None]
-                elif s in td.bags[y]:
-                    table[s] = gmax[s]
-                else:
-                    table[s] = gmax[None] + w[s]
-            values[x] = table
-            bp[x] = garg
-            values[y] = None
-        else:
-            y, z = kids
-            table = {}
-            for s in sels[x]:
-                ws = w[s] if s is not None else 0
-                table[s] = values[y][s] + values[z][s] - ws
-            values[x] = table
-            # join children inherit the same selection; nothing to record
-            values[y] = None
-            values[z] = None
-
-    root_table = values[td.root]
-    best_sel = None
-    best_val = -1
-    for s in sels[td.root]:
-        if root_table[s] > best_val:
-            best_val = root_table[s]
-            best_sel = s
-
-    chosen: set[int] = set()
-    stack: list[tuple[int, int | None]] = [(td.root, best_sel)]
-    while stack:
-        x, s = stack.pop()
-        if s is not None:
-            chosen.add(s)
-        kids = td.children[x]
-        if not kids:
-            continue
-        if len(kids) == 1:
-            y = kids[0]
-            key = s if (s is not None and s in td.bags[y]) else None
-            stack.append((y, bp[x][key]))
-        else:
-            y, z = kids
-            stack.append((y, s))
-            stack.append((z, s))
-
-    sol = Solution(frozenset(chosen), inst.weight_of(chosen), None)
+    sol = Solution(frozenset(kept), inst.weight_of(kept), None)
     sol.validate(inst)
-    if sol.weight != best_val:
-        raise ValidationError("chordal MWIS witness weight disagrees with DP value")
+    if sol.weight != dual:
+        raise ValidationError("chordal MWIS witness weight disagrees with its dual")
     return sol

@@ -364,16 +364,6 @@ class WeightedInstance:
             mapping,
         )
 
-    def with_colors(self, colors) -> "WeightedInstance":
-        return WeightedInstance(
-            self.graph,
-            self.weights,
-            colors=tuple(colors),
-            clusters=self.clusters,
-            cluster_edges=self.cluster_edges,
-            chordal_edges=self.chordal_edges,
-        )
-
 
 @dataclass
 class Solution:

@@ -10,9 +10,13 @@ from mwccs.fileformat import (
     parse_solution_text,
     write_instance,
 )
-from mwccs.generators import random_cluster_chordal_instance
-from mwccs.graph import WeightedInstance
-from mwccs.oracle import brute_mwccs
+from mwccs.generators import (
+    random_chordal,
+    random_cluster_chordal_instance,
+    random_weights,
+)
+from mwccs.graph import Graph, WeightedInstance
+from mwccs.oracle import brute_mwccs, brute_mwis
 
 from conftest import cycle_graph, path_graph
 
@@ -98,6 +102,31 @@ def test_solve_colorful(tmp_path, capsys):
     assert sol.weight == 6
 
 
+def test_solve_mwis_direct_builds_no_clique_tree(tmp_path, capsys, monkeypatch):
+    from mwccs import cli
+
+    def no_tree(g, peo):
+        raise AssertionError("clique tree built")
+
+    monkeypatch.setattr(cli, "clique_tree_from_peo", no_tree)
+    g = random_chordal(14, 4, seed=5)
+    inst = random_weights(WeightedInstance.unit(g), 9, seed=6)
+    path = tmp_path / "ch.iki"
+    write_instance(inst, path)
+    code, out, _ = run_cli(["solve", "mwis", str(path)], capsys)
+    assert code == 0
+    sol, _ = parse_solution_text(out)
+    assert sol.weight == brute_mwis(inst).weight
+
+
+def test_solve_colorful_refuses_color_30(tmp_path, capsys):
+    inst = WeightedInstance(Graph(1), (5,), colors=(30,))
+    path = tmp_path / "c30.iki"
+    write_instance(inst, path)
+    code, out, err = run_cli(["solve", "colorful", str(path)], capsys)
+    assert code == 3 and out == "" and err.startswith("size cap:")
+
+
 def test_solve_rejects_non_chordal(tmp_path, capsys):
     inst = WeightedInstance.unit(cycle_graph(5))
     path = tmp_path / "c5.iki"
@@ -127,7 +156,7 @@ def test_exit_codes(tmp_path, capsys):
 def test_unexpected_exception_is_internal_error(tmp_path, capsys, monkeypatch):
     from mwccs import dp
 
-    def tripped(inst, td):
+    def tripped(inst, peo):
         raise AssertionError("join discipline\nviolated")
 
     monkeypatch.setattr(dp, "max_weight_is_chordal", tripped)

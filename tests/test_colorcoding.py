@@ -41,7 +41,6 @@ from mwccs.graph import (
 from mwccs.oracle import brute_mwccs, brute_mwis
 from mwccs.dp import max_weight_is_chordal
 from mwccs.recognition import is_chordal
-from mwccs.treedecomp import clique_tree_from_peo
 
 from conftest import cycle_graph
 
@@ -134,10 +133,7 @@ def test_mwis_cluster_chordal_pure_chordal():
         g = random_chordal(n, 3, seed + 40)
         weights = tuple(rng.randint(0, 20) for _ in range(n))
         inst = _chordal_with_singletons(WeightedInstance(g, weights))
-        full = max_weight_is_chordal(
-            WeightedInstance(g, weights),
-            clique_tree_from_peo(g, is_chordal(g)),
-        )
+        full = max_weight_is_chordal(WeightedInstance(g, weights), is_chordal(g))
         ell = n  # budget large enough for the unrestricted optimum
         got = mwis_cluster_chordal(inst, ell, EX)
         assert got.weight == full.weight

@@ -13,7 +13,7 @@ from mwccs.dp import (
     max_weight_is_chordal,
 )
 from mwccs.generators import random_chordal
-from mwccs.graph import Graph, WeightedInstance
+from mwccs.graph import Graph, SizeCapError, WeightedInstance
 from mwccs.oracle import brute_colorful_is, brute_mwis
 from mwccs.recognition import is_chordal
 from mwccs.treedecomp import (
@@ -282,7 +282,8 @@ def test_one_bag_of_1100_vertices():
     inst = WeightedInstance(
         g, tuple(v % 7 for v in range(n)), colors=tuple(v % 3 + 1 for v in range(n))
     )
-    assert max_weight_is_chordal(inst, td).vertices == {6}
+    # any order of a clique is a PEO
+    assert max_weight_is_chordal(inst, tuple(range(n))).vertices == {6}
     assert max_weight_colorful_is(inst, td, 1, c=3).vertices == {6}
 
 
@@ -302,28 +303,40 @@ def test_best_by_color_count_bounds_cardinality():
 def test_chordal_mwis_examples():
     k3 = complete_graph(3)
     inst = WeightedInstance(k3, (2, 9, 4))
-    assert max_weight_is_chordal(inst, _clique_tree(k3)).weight == 9
+    assert max_weight_is_chordal(inst, is_chordal(k3)).weight == 9
     p3 = path_graph(3)
     inst = WeightedInstance(p3, (3, 4, 3))
-    sol = max_weight_is_chordal(inst, _clique_tree(p3))
+    sol = max_weight_is_chordal(inst, is_chordal(p3))
     assert sol.weight == 6 and sol.vertices == {0, 2}
 
 
 def test_chordal_mwis_matches_oracle():
-    for seed in range(80):
-        rng = random.Random(seed)
-        n = rng.randint(1, 15)
-        g = random_chordal(n, rng.randint(2, 4), seed + 7)
-        inst = WeightedInstance(g, tuple(rng.randint(0, 99) for _ in range(n)))
-        got = max_weight_is_chordal(inst, _clique_tree(g))
-        assert got.weight == brute_mwis(inst).weight, f"seed {seed}"
+    # 0-1 and 0-3 weights make ties, where the backward pass could go wrong
+    for max_w in (99, 1, 3):
+        for seed in range(80):
+            rng = random.Random(seed)
+            n = rng.randint(1, 15)
+            g = random_chordal(n, rng.randint(2, 4), seed + 7)
+            inst = WeightedInstance(g, tuple(rng.randint(0, max_w) for _ in range(n)))
+            got = max_weight_is_chordal(inst, is_chordal(g))
+            assert got.weight == brute_mwis(inst).weight, f"max_w {max_w} seed {seed}"
 
 
-def test_chordal_mwis_requires_clique_tree():
+def test_chordal_mwis_requires_peo():
     c4 = Graph(4, [(0, 1), (1, 2), (2, 3), (0, 3)])
-    td = TreeDecomposition(
-        [frozenset({0, 1, 3}), frozenset({1, 2, 3})], [None, 0], 0
-    )
     inst = WeightedInstance(c4, (1, 1, 1, 1))
+    for order in itertools.permutations(range(4)):
+        with pytest.raises(ValueError):
+            max_weight_is_chordal(inst, order)
+    # P3 is chordal, but eliminating its middle vertex first is no PEO
+    inst = WeightedInstance(path_graph(3), (1, 1, 1))
     with pytest.raises(ValueError):
-        max_weight_is_chordal(inst, td)
+        max_weight_is_chordal(inst, (1, 0, 2))
+
+
+def test_colorful_dp_refuses_tables_past_the_cell_cap():
+    # one vertex of color 30: 2 selections x 2^30 color sets is past 2^27
+    inst = WeightedInstance(Graph(1), (5,), colors=(30,))
+    td = _clique_tree(inst.graph)
+    with pytest.raises(SizeCapError, match="table cells"):
+        max_weight_colorful_is(inst, td, 1)

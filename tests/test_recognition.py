@@ -282,6 +282,8 @@ def test_recognition_cliff_one_clique_of_1200():
     td = clique_tree_from_peo(g, peo)
     assert len(td) == 1 and td.bags[0] == frozenset(range(n))
     weights = tuple((v * 37) % 1000 for v in range(n))
-    sol = max_weight_is_chordal(WeightedInstance(g, weights), td)
-    heaviest = max(range(n), key=lambda v: (weights[v], -v))
-    assert sol.vertices == {heaviest} and sol.weight == weights[heaviest]
+    sol = max_weight_is_chordal(WeightedInstance(g, weights), peo)
+    # 27 and 1027 both weigh 999; the PEO eliminates 1027 first, and the
+    # forward pass marks only a strictly larger residual
+    assert max(weights) == weights[27] == weights[1027] == 999
+    assert sol.vertices == {1027} and sol.weight == 999
