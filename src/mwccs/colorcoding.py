@@ -7,14 +7,19 @@ class independently and take the union.  The cluster reduction turns
 bounded MWIS on a cluster+chordal graph into colorful independent set on
 the chordal part by coloring whole clusters.
 
-Both levels take their colorings from one family, made by `_colorings` in
-one of two modes.  EXHAUSTIVE yields one coloring per partition of the
-items into color classes (renaming colors never changes an optimum, so one
+The subgraph reduction's colorings come from `_colorings` in one of two
+modes.  EXHAUSTIVE yields one coloring per partition of the vertices into
+color classes (renaming colors never changes an optimum, so one
 representative per partition suffices) and is exact; it is refused when it
-is made if it stands for more than 2^24 colorings.  RANDOMIZED draws the
-level's number of independent uniform colorings from a seeded stream and is
-optimal with probability at least 1 - epsilon, always returning a feasible
-set.
+is made if it stands for more than 2^24 colorings.  RANDOMIZED draws
+independent uniform colorings from a seeded stream and is optimal with
+probability at least 1 - epsilon, always returning a feasible set.
+
+The cluster reduction is exact in both modes within the DP's MAX_CELLS
+budget: an answer holds at most ell clusters, so one DP run per k-subset of
+the d clusters (colors 1..k, the rest excluded with color 0) finds it, at
+C(d, k) x selections x 2^k table cells.  Over the budget EXHAUSTIVE refuses
+and RANDOMIZED draws the randomized family of cluster colorings.
 
 The subgraph reduction keeps the first coloring, in family order, that
 reaches the heaviest weight.  Its answer holds at most ell vertices and at
@@ -26,6 +31,7 @@ skipped before any class query.
 
 from __future__ import annotations
 
+import itertools
 import math
 import random
 from dataclasses import dataclass
@@ -33,7 +39,7 @@ from enum import Enum
 from functools import lru_cache
 from typing import Callable, Iterator
 
-from .dp import ColorfulDP, MAX_COLORS
+from .dp import MAX_CELLS, MAX_COLORS, ColorfulDP
 from .graph import (
     Graph,
     SizeCapError,
@@ -159,6 +165,16 @@ def _colorings(
     return (tuple(rng.randint(1, k) for _ in range(m)) for _ in range(trials))
 
 
+def _subset_colorings(d: int, k: int) -> Iterator[tuple[int, ...]]:
+    """Per k-subset of range(d), in combinations order, the coloring that
+    gives the chosen items colors 1..k and every other item color 0."""
+    for chosen in itertools.combinations(range(d), k):
+        f = [0] * d
+        for col, i in enumerate(chosen, 1):
+            f[i] = col
+        yield tuple(f)
+
+
 def decomposition_parts(inst: WeightedInstance) -> tuple[list[frozenset[int]], Graph]:
     """Split a witnessed instance into (ordered clusters, chordal-side graph).
 
@@ -219,7 +235,8 @@ class ClusterChordalEngine:
         self, ell: int, spec: ColoringFamilySpec, stats: dict | None = None
     ) -> list[Solution]:
         """Entry b holds an optimal independent set of at most b vertices of
-        the full graph, for b = 0..ell (exact in EXHAUSTIVE mode)."""
+        the full graph, for b = 0..ell (exact unless RANDOMIZED mode draws
+        its family because the exact one exceeds MAX_CELLS)."""
         if ell < 0:
             raise ValueError("ell must be non-negative")
         n = self.inst.graph.n
@@ -227,11 +244,19 @@ class ClusterChordalEngine:
         if ell == 0 or n == 0:
             return [empty] * (ell + 1)
         d = len(self.clusters)
-        if spec.mode == Mode.EXHAUSTIVE and d <= IDENTITY_COLOR_CAP:
-            # few clusters: the cluster ids themselves are the colors, so one
-            # DP run is exact; its bound b is the root optimum over color
-            # subsets of size at most b
-            family = [tuple(range(1, d + 1))]
+        # an answer holds at most ell clusters, one vertex each, so some
+        # k-subset of the clusters holds all of them once k >= min(d, ell);
+        # with k = d the cluster ids are the colors and one run is exact
+        size = d if d <= IDENTITY_COLOR_CAP or d <= ell else ell
+        cells = math.comb(d, size) * self.dp.num_sels << size
+        if cells <= MAX_CELLS:
+            family = _subset_colorings(d, size)
+        elif spec.mode == Mode.EXHAUSTIVE:
+            raise SizeCapError(
+                f"exact inner query needs {cells} table cells (C({d}, {size}) "
+                f"cluster subsets x {self.dp.num_sels} selections x 2^{size} "
+                f"color sets); cap is {MAX_CELLS}; use randomized mode"
+            )
         else:
             family = _colorings(d, ell, math.e**ell, spec)
         best = [empty] * (ell + 1)
@@ -270,26 +295,17 @@ class ClusterChordalSolver:
     """Bounded-MWIS callable for the subgraph reduction, with a vector
     entry point so one engine sweep serves every bound of a color class.
 
-    Inner queries run exhaustively (they are exact and the sub-instances
-    are small); if an inner exhaustive sweep is refused for size and the
-    surrounding run is randomized, the inner query falls back to the
-    randomized family with the caller's epsilon.
+    Inner queries follow `ClusterChordalEngine.bounded_vector`: exact within
+    MAX_CELLS, where the k-subset family costs C(d, k) x selections x 2^k
+    cells; over it a randomized run draws the randomized family with the
+    caller's epsilon and an exhaustive run is refused.
     """
 
     def __init__(self, spec: ColoringFamilySpec):
         self.spec = spec
-        self.exhaustive = ColoringFamilySpec(
-            Mode.EXHAUSTIVE, seed=spec.seed, trial_cap=spec.trial_cap
-        )
 
     def solve_vector(self, sub: WeightedInstance, max_bound: int) -> list[Solution]:
-        engine = ClusterChordalEngine(sub)
-        try:
-            return engine.bounded_vector(max_bound, self.exhaustive)
-        except SizeCapError:
-            if self.spec.mode == Mode.RANDOMIZED:
-                return engine.bounded_vector(max_bound, self.spec)
-            raise
+        return ClusterChordalEngine(sub).bounded_vector(max_bound, self.spec)
 
     def __call__(self, sub: WeightedInstance, bound: int) -> Solution:
         return self.solve_vector(sub, bound)[bound]

@@ -242,22 +242,24 @@ class ColorfulDP:
                 self.join_children[x] = (ch[0], ch[1])
 
     def solve(self, colors, c: int) -> "ColorfulRun":
-        """Run the DP under the given 1-based vertex coloring with c colors."""
+        """Run the DP under the given vertex coloring with colors 1..c; a
+        vertex of color 0 is excluded (its mask bit is 0, so no selection
+        holding it is colorful)."""
         if c < 0 or c > MAX_COLORS:
             raise ValueError(f"color count must be in 0..{MAX_COLORS}")
         g = self.inst.graph
         w = self.inst.weights
         if len(colors) != g.n:
             raise ValueError("coloring length must equal vertex count")
-        if any(not 1 <= col <= c for col in colors):
-            raise ValueError("vertex colors must lie in 1..c")
+        if any(not 0 <= col <= c for col in colors):
+            raise ValueError("vertex colors must lie in 0..c")
         nc = 1 << c
         if self.num_sels * nc > MAX_CELLS:
             raise SizeCapError(
                 f"colorful DP needs {self.num_sels * nc} table cells "
                 f"({self.num_sels} selections x 2^{c} color sets); cap is {MAX_CELLS}"
             )
-        cmask = [1 << (col - 1) for col in colors]
+        cmask = [(1 << col) >> 1 for col in colors]
         call = np.arange(nc, dtype=np.int64)
 
         td = self.td
@@ -297,7 +299,7 @@ class ColorfulDP:
                 for key, members in info["groups"].items():
                     stack = np.stack([child_vals[j] for j in members])
                     gmax[key] = stack.max(axis=0)
-                    garg[key] = (stack.argmax(axis=0).astype(np.int16), members)
+                    garg[key] = (stack.argmax(axis=0).astype(np.int32), members)
                 for i, s in enumerate(self.sels[x]):
                     mask, colorful, ws = sel_meta[x][i]
                     if not colorful:

@@ -247,32 +247,3 @@ def bag_alpha(g: Graph, td: TreeDecomposition) -> int:
         best = max(best, size)
     return best
 
-
-def decomposition_to_text(td: TreeDecomposition) -> str:
-    """Line-oriented dump: one `b <id> <parent|-1> <vertices...>` per bag,
-    vertices 1-based, in tree index order."""
-    lines = []
-    for i, bag in enumerate(td.bags):
-        par = td.parent[i]
-        verts = " ".join(str(v + 1) for v in sorted(bag))
-        lines.append(f"b {i} {par if par is not None else -1} {verts}".rstrip())
-    return "\n".join(lines) + "\n"
-
-
-def decomposition_from_text(text: str) -> TreeDecomposition:
-    bags: list[frozenset[int]] = []
-    parent: list[int | None] = []
-    for raw in text.splitlines():
-        line = raw.strip()
-        if not line or line.startswith("c"):
-            continue
-        parts = line.split()
-        if parts[0] != "b":
-            raise ValueError(f"unexpected line: {raw!r}")
-        idx, par = int(parts[1]), int(parts[2])
-        if idx != len(bags):
-            raise ValueError("bag ids must be consecutive from 0")
-        bags.append(frozenset(int(x) - 1 for x in parts[3:]))
-        parent.append(None if par == -1 else par)
-    root = parent.index(None)
-    return TreeDecomposition(bags, parent, root)

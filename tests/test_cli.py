@@ -79,6 +79,19 @@ def test_solve_mwccs_on_plain_chordal(tmp_path, capsys):
     assert sol.weight == brute_mwccs(inst, 2, ell_cap=4).weight == 15
 
 
+def test_solve_mwccs_past_the_identity_cap(tmp_path, capsys):
+    # color classes of 13-15 singleton clusters take the k-subset family
+    inst = random_weights(WeightedInstance.unit(random_chordal(14, 3, 0)), 3, 1)
+    path = tmp_path / "c14.iki"
+    write_instance(inst, path)
+    code, out, _ = run_cli(
+        ["solve", "mwccs", str(path), "--c", "2", "--ell", "3"], capsys
+    )
+    assert code == 0
+    sol, _ = parse_solution_text(out)
+    assert sol.weight == brute_mwccs(inst, 2, ell_cap=3).weight == 9
+
+
 def test_solve_mwis_direct_and_budgeted(tmp_path, capsys):
     inst = WeightedInstance(path_graph(4), (3, 4, 5, 3))
     path = tmp_path / "p4.iki"

@@ -2,6 +2,7 @@ import hashlib
 import json
 import math
 import random
+import time
 
 import pytest
 
@@ -264,7 +265,7 @@ def test_exhaustive_cap_directs_to_randomized():
 
 
 def test_hash_family_cap():
-    # many clusters, several colors: the enumerated family would be huge
+    # 18 clusters, ell=8: the exact family would need C(18, 8) x 56 x 2^8 cells
     g, labels = random_cluster(28, 2, seed=1)
     inst = WeightedInstance(
         g,
@@ -272,13 +273,20 @@ def test_hash_family_cap():
         cluster_edges=frozenset(g.edges()),
         chordal_edges=frozenset(),
     )
-    with pytest.raises(SizeCapError):
-        mwis_cluster_chordal(inst, 6, EX)
+    assert len(decomposition_parts(inst)[0]) == 18
+    start = time.perf_counter()
+    with pytest.raises(SizeCapError, match="627314688 table cells"):
+        mwis_cluster_chordal(inst, 8, EX)
+    assert time.perf_counter() - start < 1.0  # refused before any DP run
+    spec = ColoringFamilySpec(Mode.RANDOMIZED, epsilon=0.5, seed=0, trial_cap=3)
+    sol = mwis_cluster_chordal(inst, 8, spec)
+    sol.validate(inst)
+    assert len(sol.vertices) <= 8
 
 
-def test_exhaustive_inner_set_partitions_match_brute():
-    # 13 singleton clusters exceed IDENTITY_COLOR_CAP, so bounded_vector walks
-    # the set partitions of the clusters into at most ell blocks
+def test_exhaustive_inner_cluster_subsets_match_brute():
+    # 13 singleton clusters exceed IDENTITY_COLOR_CAP, so bounded_vector runs
+    # one DP per 2-subset of the clusters
     assert colorcoding.IDENTITY_COLOR_CAP < 13
     rng = random.Random(1)
     g = random_chordal(13, 3, 1)
@@ -287,9 +295,27 @@ def test_exhaustive_inner_set_partitions_match_brute():
     )
     stats: dict = {}
     got = mwis_cluster_chordal(inst, 2, EX, stats)
-    assert stats["trials"] == 2**12  # S(13, 1) + S(13, 2)
+    assert stats["trials"] == math.comb(13, 2)
     assert got.weight == brute_mwis(inst, ell_cap=2).weight
-    assert sorted(got.vertices) == [4, 10]  # the witness before the family rewrite
+    # pinned among tied optima: {4, 10} weighs 16 too
+    assert sorted(got.vertices) == [4, 5]
+
+
+def test_exhaustive_inner_sweep_past_the_identity_cap_matches_brute():
+    for n in (13, 14, 15):
+        rng = random.Random(n)
+        inst = _chordal_with_singletons(
+            WeightedInstance(
+                random_chordal(n, 3, n), tuple(rng.randint(0, 9) for _ in range(n))
+            )
+        )
+        engine = ClusterChordalEngine(inst)
+        for ell in range(1, 5):
+            stats: dict = {}
+            vec = engine.bounded_vector(ell, EX, stats)
+            assert stats["trials"] == math.comb(n, ell)  # one run per ell-subset
+            for b, sol in enumerate(vec):
+                assert sol.weight == brute_mwis(inst, ell_cap=b).weight, (n, ell, b)
 
 
 def _tie_heavy_set():
@@ -349,13 +375,15 @@ def test_family_cap_at_creation(monkeypatch):
         mwccs_from_mwis(
             WeightedInstance.unit(Graph(25, [])), 2, 3, _brute_bounded_solver, EX
         )
+    assert made == [(24, 2)]
+    # inner queries never walk set partitions, whatever their cluster count
     engine = ClusterChordalEngine(_chordal_with_singletons(outer))
-    assert [s.weight for s in engine.bounded_vector(2, EX)] == [0, 0, 0]
-    with pytest.raises(SizeCapError):
-        ClusterChordalEngine(
-            _chordal_with_singletons(WeightedInstance.unit(Graph(13, [])))
-        ).bounded_vector(4, EX)
-    assert made == [(24, 2), (24, 2)]
+    assert [s.weight for s in engine.bounded_vector(2, EX)] == [0, 1, 2]
+    thirteen = _chordal_with_singletons(WeightedInstance.unit(Graph(13, [])))
+    for spec in (EX, ColoringFamilySpec(Mode.RANDOMIZED, epsilon=0.5, seed=0)):
+        vec = ClusterChordalEngine(thirteen).bounded_vector(2, spec)
+        assert [s.weight for s in vec] == [0, 1, 2]
+    assert made == [(24, 2)]
 
 
 def _unpruned_walk(colorings, c, ell, class_vector):

@@ -340,3 +340,40 @@ def test_colorful_dp_refuses_tables_past_the_cell_cap():
     td = _clique_tree(inst.graph)
     with pytest.raises(SizeCapError, match="table cells"):
         max_weight_colorful_is(inst, td, 1)
+
+
+def test_color_zero_excludes_vertices():
+    # color 0 leaves a vertex out of every colorful selection, so the optimum
+    # equals that of the same instance with those vertices weighing nothing
+    for seed in range(60):
+        inst, c = _random_colored_chordal(seed + 500, n_max=12)
+        rng = random.Random(seed)
+        zero = {v for v in range(inst.graph.n) if rng.random() < 0.4}
+        colors = tuple(0 if v in zero else col for v, col in enumerate(inst.colors))
+        engine = ColorfulDP(inst, _clique_tree(inst.graph), 1)
+        sol = engine.solve(colors, c).best_full()
+        assert not sol.vertices & zero, f"seed {seed}"
+        light = WeightedInstance(
+            inst.graph,
+            tuple(0 if v in zero else w for v, w in enumerate(inst.weights)),
+            colors=inst.colors,
+        )
+        assert sol.weight == brute_colorful_is(light).weight, f"seed {seed}"
+    with pytest.raises(ValueError, match="0..c"):
+        engine.solve((-1,) * inst.graph.n, c)
+
+
+def test_single_child_group_past_32767_members():
+    # two disjoint K_182 under a root bag {364}: all 33,489 child selections
+    # form one group, and the witness {181, 363} sits past index 2^15
+    k = 182
+    cliques = (range(k), range(k, 2 * k))
+    g = Graph(2 * k + 1, [e for q in cliques for e in itertools.combinations(q, 2)])
+    weights = [0] * (2 * k + 1)
+    weights[k - 1] = weights[2 * k - 1] = 5
+    inst = WeightedInstance(
+        g, tuple(weights), colors=tuple(1 if v < k else 2 for v in range(2 * k + 1))
+    )
+    td = TreeDecomposition([frozenset({2 * k}), frozenset(range(2 * k))], [None, 0], 0)
+    sol = max_weight_colorful_is(inst, td, 2, c=2)
+    assert sol.vertices == {k - 1, 2 * k - 1} and sol.weight == 10

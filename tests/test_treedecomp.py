@@ -11,8 +11,6 @@ from mwccs.treedecomp import (
     TreeDecomposition,
     bag_alpha,
     clique_tree_from_peo,
-    decomposition_from_text,
-    decomposition_to_text,
     normalize_binary,
     verify_tree_decomposition,
 )
@@ -116,17 +114,6 @@ def test_bag_alpha():
     empty = Graph(0, [])
     td0 = TreeDecomposition([frozenset()], [None], 0)
     assert bag_alpha(empty, td0) == 0
-
-
-def test_serialization_round_trip():
-    for seed in range(10):
-        g = random_chordal(9, 3, seed)
-        td = clique_tree_from_peo(g, is_chordal(g))
-        text = decomposition_to_text(td)
-        back = decomposition_from_text(text)
-        assert back.bags == td.bags
-        assert back.parent == td.parent
-        assert back.root == td.root
 
 
 def _reference_verify_tree_decomposition(g, td):
