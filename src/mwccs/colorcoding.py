@@ -10,10 +10,11 @@ the chordal part by coloring whole clusters.
 The subgraph reduction's colorings come from `_colorings` in one of two
 modes.  EXHAUSTIVE yields one coloring per partition of the vertices into
 color classes (renaming colors never changes an optimum, so one
-representative per partition suffices) and is exact; it is refused when it
-is made if it stands for more than 2^24 colorings.  RANDOMIZED draws
+representative per partition suffices) and is exact.  RANDOMIZED draws
 independent uniform colorings from a seeded stream and is optimal with
-probability at least 1 - epsilon, always returning a feasible set.
+probability at least 1 - epsilon, always returning a feasible set.  Either
+family is refused when it is made if it stands for more than FAMILY_CAP
+(2^24) colorings, unless a trial cap bounds the randomized draws.
 
 The cluster reduction is exact in both modes within the DP's MAX_CELLS
 budget: an answer holds at most ell clusters, so one DP run per k-subset of
@@ -53,7 +54,7 @@ from .graph import (
 from .recognition import find_cluster_violation, is_chordal
 from .treedecomp import clique_tree_from_peo
 
-FAMILY_CAP = 1 << 24  # cap on the k^m colorings of m items with k colors
+FAMILY_CAP = 1 << 24  # cap on a family's colorings, enumerated or drawn
 IDENTITY_COLOR_CAP = 12  # clusters used directly as colors up to this count
 
 
@@ -130,17 +131,20 @@ def _partition_colorings(m: int, k: int) -> Iterator[tuple[int, ...]]:
 
 
 def _randomized_trials(base: float, spec: ColoringFamilySpec) -> int:
-    need = base * math.log(1.0 / spec.epsilon)
-    if need > 1e18 or math.isinf(need):
-        if spec.trial_cap is None:
-            raise SizeCapError(
-                "randomized repetition count overflows; supply a trial cap"
-            )
-        return spec.trial_cap
-    trials = max(1, math.ceil(need))
+    """ceil(base * ln(1/epsilon)) draws, at most spec.trial_cap of them;
+    more than FAMILY_CAP draws are refused unless a trial cap is given."""
+    try:
+        need = math.ceil(base * math.log(1.0 / spec.epsilon))
+    except OverflowError:  # the product is past the float range
+        need = math.inf
     if spec.trial_cap is not None:
-        trials = min(trials, spec.trial_cap)
-    return trials
+        return min(need, spec.trial_cap)
+    if need > FAMILY_CAP:
+        raise SizeCapError(
+            f"drawing {need:.3g} colorings exceeds the cap of {FAMILY_CAP}; "
+            "supply a trial cap"
+        )
+    return need
 
 
 def _colorings(
@@ -464,7 +468,8 @@ def _vertex_colorings(
     n = inst.graph.n
     if ell == 0 or n == 0:
         return iter(())
-    return _colorings(n, c, float(c) ** ell, spec)
+    # an answer holds at most n vertices
+    return _colorings(n, c, c ** min(ell, n), spec)
 
 
 def mwccs_from_mwis(
@@ -481,8 +486,10 @@ def mwccs_from_mwis(
     The solver must be exact on induced sub-instances (the class is
     hereditary).  EXHAUSTIVE mode walks every coloring of the vertex set
     into at most c classes and is exact; RANDOMIZED mode draws
-    ceil(c^ell * ln(1/epsilon)) uniform colorings.  stats gains "trials"
-    and "skipped" (colorings ruled out by the weight bound).
+    ceil(c^min(ell, n) * ln(1/epsilon)) uniform colorings.  Either is
+    refused past FAMILY_CAP colorings unless spec.trial_cap bounds the
+    draws.  stats gains "trials" and "skipped" (colorings ruled out by the
+    weight bound).
     """
     family = _vertex_colorings(inst, c, ell, spec)
     class_vector = _class_vector_fn(inst, ell, mwis_bounded_solver)

@@ -459,17 +459,6 @@ def max_weight_colorful_is(
     return engine.solve(inst.colors, c).best_full()
 
 
-def colorful_best_by_color_count(
-    inst: WeightedInstance, td: TreeDecomposition, alpha: int, c: int, max_count: int
-) -> list[Solution]:
-    """Vector of optima restricted to at most b distinct colors, b = 0..max_count."""
-    if inst.colors is None:
-        raise ValueError("instance has no vertex colors")
-    _check_td(inst, td)
-    engine = ColorfulDP(inst, td, alpha)
-    return engine.solve(inst.colors, c).best_by_color_count(max_count)
-
-
 def max_weight_is_chordal(inst: WeightedInstance, peo) -> Solution:
     """Max-weight independent set of a chordal graph in O(n+m) from a perfect
     elimination ordering (A. Frank, 1976).

@@ -72,9 +72,15 @@ class TreeDecomposition:
 def clique_tree_from_peo(g: Graph, peo) -> TreeDecomposition:
     """Clique tree of a chordal graph from a perfect elimination ordering.
 
-    bag(v) = {v} + later neighbors of v; bag(v)'s parent is the bag of v's
-    earliest-eliminated later neighbor.  Bags comparable with their parent
-    are merged, which leaves one bag per maximal clique.
+    bag(i) is the i-th eliminated vertex v plus its later neighbors, and
+    up(i) is the position of v's earliest later neighbor, or i + 1 when v
+    has none.  later(v) lies inside bag(up(i)), so bag(up(i)) is a subset of
+    bag(i) exactly when v has one later neighbor more than the vertex at
+    up(i) (Blair and Peyton, 1993).  Walking the positions in order, each
+    bag not yet owned absorbs the bags up its up chain while they are
+    subsets and unowned.  The survivors are the maximal cliques, kept in
+    elimination order; each hangs under the owner of the bag its chain
+    stopped at, and the owner of the last position is the root.
     """
     if not verify_peo(g, peo):
         raise ValueError("ordering is not a perfect elimination ordering")
@@ -85,71 +91,27 @@ def clique_tree_from_peo(g: Graph, peo) -> TreeDecomposition:
     pos = [0] * n
     for i, v in enumerate(order):
         pos[v] = i
+    later = [[u for u in g.adj[v] if pos[u] > i] for i, v in enumerate(order)]
+    up = [min(pos[u] for u in lv) if lv else i + 1 for i, lv in enumerate(later)]
 
-    bag_of = {}
-    bags = []
-    parent_vertex: list[int | None] = []
+    owner = [-1] * n
+    bags: list[frozenset[int]] = []
+    stop: list[int] = []
     for i, v in enumerate(order):
-        later = [u for u in g.adj[v] if pos[u] > pos[v]]
-        bag_of[v] = len(bags)
-        bags.append(frozenset([v] + later))
-        if later:
-            parent_vertex.append(min(later, key=lambda u: pos[u]))
-        elif i + 1 < n:
-            # no later neighbor: attach to the next bag in elimination order
-            # (the bags share nothing, so the tree conditions are unaffected)
-            parent_vertex.append(order[i + 1])
-        else:
-            parent_vertex.append(None)
-
-    parent: list[int | None] = [
-        bag_of[pv] if pv is not None else None for pv in parent_vertex
-    ]
-
-    # merge any bag into its parent when one contains the other
-    alive = [True] * len(bags)
-    merged_into = list(range(len(bags)))
-
-    def rep(i: int) -> int:
-        while merged_into[i] != i:
-            merged_into[i] = merged_into[merged_into[i]]
-            i = merged_into[i]
-        return i
-
-    for i in range(len(bags)):
-        cur = rep(i)
-        while parent[cur] is not None:
-            par = rep(parent[cur])
-            if par == cur:
-                parent[cur] = None
-                break
-            if bags[par] <= bags[cur]:
-                # absorb the parent: cur inherits its parent pointer
-                merged_into[par] = cur
-                alive[par] = False
-                parent[cur] = parent[par]
-            elif bags[cur] <= bags[par]:
-                merged_into[cur] = par
-                alive[cur] = False
-                cur = par
-            else:
-                break
-
-    index = {}
-    new_bags = []
-    for i in range(len(bags)):
-        if alive[i]:
-            index[i] = len(new_bags)
-            new_bags.append(bags[i])
-    new_parent: list[int | None] = [None] * len(new_bags)
-    for i in range(len(bags)):
-        if alive[i]:
-            p = parent[i]
-            new_parent[index[i]] = index[rep(p)] if p is not None else None
-    # the last vertex's bag starts parentless; such a bag is only ever
-    # absorbed by a child, which inherits no parent, so its survivor is root
-    root = index[rep(bag_of[order[-1]])]
-    return TreeDecomposition(new_bags, new_parent, root)
+        if owner[i] >= 0:
+            continue
+        owner[i] = len(bags)
+        bags.append(frozenset([v] + later[i]))
+        j = i
+        while (
+            up[j] < n and owner[up[j]] < 0 and len(later[j]) == len(later[up[j]]) + 1
+        ):
+            j = up[j]
+            owner[j] = owner[i]
+        stop.append(up[j])
+    # only the chain through the last position stops past the end
+    parent = [owner[s] if s < n else None for s in stop]
+    return TreeDecomposition(bags, parent, owner[n - 1])
 
 
 def verify_tree_decomposition(g: Graph, td: TreeDecomposition) -> bool:
@@ -182,40 +144,32 @@ def normalize_binary(td: TreeDecomposition) -> TreeDecomposition:
     """Binary normal form: every bag has at most two children, and a bag
     with two children equals both of them.
 
-    Offending bags get two equal copies attached as their only children,
-    with the original children distributed below; at worst this triples the
-    number of bags.
+    A bag whose children break this hangs its first child under a fresh
+    copy of itself and the rest under a second copy, which is checked the
+    same way; at worst this triples the number of bags.
     """
     bags: list[frozenset[int]] = []
     parent: list[int | None] = []
-
-    def add(bag: frozenset[int], par: int | None) -> int:
+    # explicit worklist of (old bag, new parent); deep decompositions would
+    # blow the recursion limit
+    stack: list[tuple[int, int | None]] = [(td.root, None)]
+    while stack:
+        old, par = stack.pop()
+        bag, kids = td.bags[old], td.children[old]
         bags.append(bag)
         parent.append(par)
-        return len(bags) - 1
-
-    # explicit worklist; deep decompositions would blow the recursion limit
-    stack: list[tuple] = [("build", td.root, None)]
-    while stack:
-        item = stack.pop()
-        if item[0] == "build":
-            _, old, par = item
-            me = add(td.bags[old], par)
-            stack.append(("attach", me, td.bags[old], tuple(td.children[old])))
-            continue
-        _, me, bag, kids = item
-        if not kids:
-            continue
-        if len(kids) == 1:
-            stack.append(("build", kids[0], me))
-        elif len(kids) == 2 and td.bags[kids[0]] == bag == td.bags[kids[1]]:
-            stack.append(("build", kids[0], me))
-            stack.append(("build", kids[1], me))
-        else:
-            left = add(bag, me)
-            stack.append(("build", kids[0], left))
-            right = add(bag, me)
-            stack.append(("attach", right, bag, kids[1:]))
+        me = len(bags) - 1
+        t = 0  # kids[t:] hang under me
+        while len(kids) - t > 2 or (
+            len(kids) - t == 2 and not td.bags[kids[t]] == bag == td.bags[kids[t + 1]]
+        ):
+            bags += [bag, bag]
+            parent += [me, me]
+            stack.append((kids[t], me + 1))
+            me += 2
+            t += 1
+        for k in kids[t:]:
+            stack.append((k, me))
 
     out = TreeDecomposition(bags, parent, 0)
     assert len(out) <= 3 * len(td), "normalization exceeded the 3x bag bound"

@@ -297,6 +297,49 @@ def test_trial_cap_flag(witnessed, capsys, tmp_path):
     assert meta["trials"] == 3
 
 
+def test_randomized_family_counts_at_most_n_vertices(tmp_path, capsys):
+    # an answer holds at most 6 vertices, so ell = 40 draws
+    # ceil(2^6 * ln 100) colorings, not ceil(2^40 * ln 100)
+    path = tmp_path / "six.iki"
+    path.write_text("p iki 6 6\ne 1 2 C\ne 1 3 C\ne 2 3 C\ne 3 4 H\ne 4 5 H\ne 5 6 H\n")
+    code, out, _ = run_cli(
+        ["solve", "mwccs", str(path), "--c", "2", "--ell", "40",
+         "--mode", "randomized"],
+        capsys,
+    )
+    assert code == 0
+    sol, meta = parse_solution_text(out)
+    assert sol.weight == brute_mwccs(parse_instance(path), 2).weight == 5
+    assert meta["trials"] == 295
+
+
+def _path_31(tmp_path):
+    path = tmp_path / "p31.iki"
+    write_instance(WeightedInstance.unit(path_graph(31)), path)
+    return str(path)
+
+
+def test_randomized_family_over_the_cap_is_refused(tmp_path, capsys):
+    code, out, err = run_cli(
+        ["solve", "mwccs", _path_31(tmp_path), "--c", "3", "--ell", "20",
+         "--mode", "randomized"],
+        capsys,
+    )
+    assert code == 3 and out == ""
+    assert err.startswith("size cap: drawing 1.61e+10 colorings")
+
+
+def test_trial_cap_overrides_the_family_cap(tmp_path, capsys):
+    code, out, _ = run_cli(
+        ["solve", "mwccs", _path_31(tmp_path), "--c", "3", "--ell", "20",
+         "--mode", "randomized", "--trial-cap", "4"],
+        capsys,
+    )
+    assert code == 0
+    sol, meta = parse_solution_text(out)
+    assert meta["trials"] == 4 and len(sol.vertices) <= 20
+
+
 def test_oracle_hamiltonian(tmp_path, capsys):
     c5 = tmp_path / "c5.iki"
     write_instance(WeightedInstance.unit(cycle_graph(5)), c5)

@@ -360,6 +360,16 @@ def test_family_cap_at_creation(monkeypatch):
     for m, k in ((25, 2), (13, 4)):
         with pytest.raises(SizeCapError, match="randomized"):
             _colorings(m, k, 1.0, EX)
+    # a randomized family draws ceil(base * ln(1/epsilon)) colorings under
+    # the same cap, base past the float range included, unless a trial cap
+    # bounds the draws
+    rnd = ColoringFamilySpec(Mode.RANDOMIZED, epsilon=0.5)
+    assert next(_colorings(3, 2, (FAMILY_CAP - 1) / math.log(2), rnd))
+    capped = ColoringFamilySpec(Mode.RANDOMIZED, epsilon=0.5, trial_cap=2)
+    for base in ((FAMILY_CAP + 1) / math.log(2), 2**1100):
+        with pytest.raises(SizeCapError, match="trial cap"):
+            _colorings(3, 2, base, rnd)
+        assert len(list(_colorings(3, 2, base, capped))) == 2
     # both levels ask for the capped family; a stub stands in for the walk
     made = []
 

@@ -8,7 +8,6 @@ from mwccs.dp import (
     ColorfulDP,
     _pair_table,
     _supersets,
-    colorful_best_by_color_count,
     max_weight_colorful_is,
     max_weight_is_chordal,
 )
@@ -291,7 +290,7 @@ def test_best_by_color_count_bounds_cardinality():
     for seed in range(20):
         inst, c = _random_colored_chordal(seed + 300, n_max=10, c_max=4, w_max=9)
         td = _clique_tree(inst.graph)
-        vec = colorful_best_by_color_count(inst, td, 1, c, max_count=c)
+        vec = ColorfulDP(inst, td, 1).solve(inst.colors, c).best_by_color_count(c)
         prev = -1
         for b, sol in enumerate(vec):
             assert len(sol.vertices) <= b

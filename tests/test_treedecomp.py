@@ -5,7 +5,7 @@ from collections import deque
 import pytest
 
 from mwccs.generators import random_chordal
-from mwccs.graph import Graph
+from mwccs.graph import Graph, is_clique, maximal_cliques_containing
 from mwccs.recognition import is_chordal
 from mwccs.treedecomp import (
     TreeDecomposition,
@@ -218,3 +218,101 @@ def test_peo_and_clique_tree_pinned():
         td = clique_tree_from_peo(g, peo)
         h.update(repr((peo, [sorted(b) for b in td.bags], td.parent, td.root)).encode())
     assert h.hexdigest() == _PINNED_CLIQUE_TREES
+
+
+def _random_simplicial_order(g, rng):
+    """A perfect elimination ordering drawn by eliminating, again and again,
+    a uniformly chosen simplicial vertex of what is left."""
+    left = set(range(g.n))
+    order = []
+    while left:
+        v = rng.choice([u for u in sorted(left) if is_clique(g, g.adj[u] & left)])
+        order.append(v)
+        left.remove(v)
+    return tuple(order)
+
+
+def _shuffled_disjoint_union(parts, rng):
+    """Disjoint union of the graphs in parts, vertex ids shuffled."""
+    n = sum(p.n for p in parts)
+    label = list(range(n))
+    rng.shuffle(label)
+    edges, base = [], 0
+    for p in parts:
+        edges += [(label[base + u], label[base + v]) for u, v in p.edges()]
+        base += p.n
+    return Graph(n, edges)
+
+
+def _maximal_cliques(g):
+    return {q for v in range(g.n) for q in maximal_cliques_containing(g, v)}
+
+
+# sha256 over (PEO, sorted bags, parents, root) of clique trees built from
+# random simplicial elimination orders and from MCS orders of disconnected
+# graphs, recorded on the union-find construction
+_PINNED_ORDER_CLIQUE_TREES = "4d29e7feeed4b30df9c5d05b85705f4485bfa80173629ac2ce3a314595ac67c9"
+
+
+def test_clique_trees_of_simplicial_orders_and_disconnected_graphs_pinned():
+    rng = random.Random(31)
+    h = hashlib.sha256()
+    for trial in range(160):
+        if trial % 2:
+            parts = [
+                random_chordal(rng.randint(1, 15), rng.randint(1, 5), 9000 + 3 * trial + j)
+                for j in range(rng.randint(2, 4))
+            ]
+            g = _shuffled_disjoint_union(parts, rng)
+        else:
+            g = random_chordal(rng.randint(1, 40), rng.randint(1, 6), 9000 + trial)
+        for peo in (is_chordal(g), _random_simplicial_order(g, rng)):
+            td = clique_tree_from_peo(g, peo)
+            assert verify_tree_decomposition(g, td), trial
+            # one bag per maximal clique, none twice
+            assert len(set(td.bags)) == len(td), trial
+            assert set(td.bags) == _maximal_cliques(g), trial
+            h.update(repr((peo, [sorted(b) for b in td.bags], td.parent, td.root)).encode())
+    assert h.hexdigest() == _PINNED_ORDER_CLIQUE_TREES
+
+
+def _random_rooted_tree(rng):
+    """A rooted tree of at most 40 bags, some with three or more children
+    and some equal to their parent's bag, under shuffled node ids."""
+    size = rng.randint(1, 40)
+    # half the nodes hang under one of the first four, which makes wide nodes
+    parent = [None] + [
+        rng.randrange(min(i, 4) if rng.random() < 0.5 else i) for i in range(1, size)
+    ]
+    bags = []
+    for i in range(size):
+        if i and rng.random() < 0.4:
+            bags.append(bags[parent[i]])
+        else:
+            bags.append(frozenset(rng.sample(range(8), rng.randint(0, 4))))
+    label = list(range(size))
+    rng.shuffle(label)
+    new_bags, new_parent = [None] * size, [None] * size
+    for i in range(size):
+        new_bags[label[i]] = bags[i]
+        new_parent[label[i]] = None if parent[i] is None else label[parent[i]]
+    return TreeDecomposition(new_bags, new_parent, label[0])
+
+
+# sha256 over (sorted bags, parents, root) of the binary normal forms of
+# random rooted trees, recorded on the worklist of build and attach steps
+_PINNED_NORMAL_FORMS = "b6d222b03487570fd51261c13d63cbb6b64d98fb2300acd7de31828cd0cacdb0"
+
+
+def test_normal_forms_of_random_rooted_trees_pinned():
+    rng = random.Random(47)
+    h = hashlib.sha256()
+    wide = 0
+    for trial in range(400):
+        td = _random_rooted_tree(rng)
+        wide += any(len(k) >= 3 for k in td.children)
+        norm = normalize_binary(td)
+        assert norm.is_binary_form() and len(norm) <= 3 * len(td), trial
+        h.update(repr(([sorted(b) for b in norm.bags], norm.parent, norm.root)).encode())
+    assert wide > 100
+    assert h.hexdigest() == _PINNED_NORMAL_FORMS
