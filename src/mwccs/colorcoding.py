@@ -27,7 +27,10 @@ reaches the heaviest weight.  Its answer holds at most ell vertices and at
 most one vertex per clique inside a class, so the ell heaviest cliques of
 any clique cover of the classes bound a coloring's optimum; a coloring
 whose bound does not beat the incumbent could not replace it and is
-skipped before any class query.
+skipped before any class query.  Once the incumbent reaches the ceiling (the
+same bound on the whole vertex set) the walk stops, and the colorings never
+made count as skipped.  The walk reads only the weights of class queries;
+a class's witness is built only when its coloring becomes the incumbent.
 """
 
 from __future__ import annotations
@@ -147,15 +150,25 @@ def _randomized_trials(base: float, spec: ColoringFamilySpec) -> int:
     return need
 
 
+def _partition_count(m: int, k: int) -> int:
+    """Partitions of m items into at most k blocks: the sum of the Stirling
+    numbers S(m, j) for j <= k."""
+    row = [1] + [0] * k  # row[j] = S(i, j), from i = 0
+    for _ in range(m):
+        row = [0] + [j * row[j] + row[j - 1] for j in range(1, k + 1)]
+    return sum(row)
+
+
 def _colorings(
     m: int, k: int, base: float, spec: ColoringFamilySpec
-) -> Iterator[tuple[int, ...]]:
-    """The family of colorings of m items with colors 1..k.
+) -> tuple[int, Iterator[tuple[int, ...]]]:
+    """The family of colorings of m items with colors 1..k: its size and a
+    lazy iterator over it.
 
     EXHAUSTIVE: one coloring per partition of the items into at most k
     blocks, refused here, before any coloring is made, when k^m exceeds
     FAMILY_CAP.  RANDOMIZED: _randomized_trials(base, spec) uniform draws
-    from random.Random(spec.seed).
+    from random.Random(spec.seed), each drawn when it is pulled.
     """
     if spec.mode == Mode.EXHAUSTIVE:
         if k**m > FAMILY_CAP:
@@ -163,10 +176,10 @@ def _colorings(
                 f"enumerating {k}^{m} colorings exceeds the exhaustive cap; "
                 "use randomized mode"
             )
-        return _partition_colorings(m, k)
+        return _partition_count(m, k), _partition_colorings(m, k)
     trials = _randomized_trials(base, spec)
     rng = random.Random(spec.seed)
-    return (tuple(rng.randint(1, k) for _ in range(m)) for _ in range(trials))
+    return trials, (tuple(rng.randint(1, k) for _ in range(m)) for _ in range(trials))
 
 
 def _subset_colorings(d: int, k: int) -> Iterator[tuple[int, ...]]:
@@ -237,16 +250,24 @@ class ClusterChordalEngine:
 
     def bounded_vector(
         self, ell: int, spec: ColoringFamilySpec, stats: dict | None = None
-    ) -> list[Solution]:
-        """Entry b holds an optimal independent set of at most b vertices of
-        the full graph, for b = 0..ell (exact unless RANDOMIZED mode draws
-        its family because the exact one exceeds MAX_CELLS)."""
+    ) -> tuple[list[int], Callable[[int], Solution]]:
+        """Bounded MWIS of the full graph for every bound b = 0..ell, as
+        (weights, witness): weights[b] is the weight of an optimal
+        independent set of at most b vertices and witness(b) builds one
+        (exact unless RANDOMIZED mode draws its family because the exact
+        one exceeds MAX_CELLS).
+
+        Runs are compared on their root tables.  A witness is built from
+        the run that holds it, when witness(b) asks for it or when two runs
+        tie at a bound and the smaller vertex set must win; the runs a
+        witness may still need are kept within MAX_CELLS table cells.
+        """
         if ell < 0:
             raise ValueError("ell must be non-negative")
         n = self.inst.graph.n
         empty = Solution(frozenset(), 0, None)
         if ell == 0 or n == 0:
-            return [empty] * (ell + 1)
+            return [0] * (ell + 1), lambda b: empty
         d = len(self.clusters)
         # an answer holds at most ell clusters, one vertex each, so some
         # k-subset of the clusters holds all of them once k >= min(d, ell);
@@ -261,25 +282,65 @@ class ClusterChordalEngine:
                 f"cluster subsets x {self.dp.num_sels} selections x 2^{size} "
                 f"color sets); cap is {MAX_CELLS}; use randomized mode"
             )
+        elif self.dp.num_sels << ell > MAX_CELLS:
+            # priced before the family's base e^ell, which may pass the
+            # float range
+            raise SizeCapError(
+                f"randomized inner query needs {self.dp.num_sels} selections x "
+                f"2^{ell} color sets per run; cap is {MAX_CELLS} table cells"
+            )
         else:
-            family = _colorings(d, ell, math.e**ell, spec)
-        best = [empty] * (ell + 1)
+            _, family = _colorings(d, ell, math.e**ell, spec)
+        weights = [0] * (ell + 1)
+        # per bound: the incumbent's witness, or (run number, run, C, sel)
+        # to build it from; a weight-0 incumbent is the empty set, which
+        # every tie keeps
+        held: list = [empty] * (ell + 1)
+        built: dict[tuple[int, int, int], Solution] = {}
+        held_cells = 0
+
+        def build(entry) -> Solution:
+            if isinstance(entry, Solution):
+                return entry
+            t, run, C, sel = entry
+            if (t, C, sel) not in built:
+                sol = run._solution_at(C, sel)
+                sol = Solution(sol.vertices, sol.weight, None)
+                sol.validate(self.inst)  # independence in the full graph
+                built[t, C, sel] = sol
+            return built[t, C, sel]
+
         trials = 0
         for f in family:
             k = max(f)
-            vec = self._run(f, k).best_by_color_count(min(ell, k))
+            run = self._run(f, k)
+            keys = run.color_count_keys(min(ell, k))
+            kept = False
             for b in range(ell + 1):
-                cand = vec[min(b, len(vec) - 1)]
-                stripped = Solution(cand.vertices, cand.weight, None)
-                best[b] = better_solution(best[b], stripped)
+                value, C, sel = keys[min(b, len(keys) - 1)]
+                if value > weights[b]:
+                    weights[b], held[b] = value, (trials, run, C, sel)
+                    kept = True
+                elif value == weights[b] > 0:
+                    held[b] = better_solution(
+                        build(held[b]), build((trials, run, C, sel))
+                    )
+            if kept:
+                held_cells += self.dp.num_sels << k
+                if held_cells > MAX_CELLS:
+                    held = [build(entry) for entry in held]
+                    held_cells = 0
             trials += 1
         if stats is not None:
             stats["trials"] = stats.get("trials", 0) + trials
-        for b, sol in enumerate(best):
-            sol.validate(self.inst)  # independence in the full graph
+
+        def witness(b: int) -> Solution:
+            sol = build(held[b])
             if len(sol.vertices) > b:
                 raise ValidationError("bounded MWIS witness exceeds its bound")
-        return best
+            return sol
+
+        return weights, witness
 
 
 def mwis_cluster_chordal(
@@ -290,9 +351,8 @@ def mwis_cluster_chordal(
 ) -> Solution:
     """Max-weight independent set with at most ell vertices of a
     cluster+chordal graph, given the decomposition witness."""
-    engine = ClusterChordalEngine(inst)
-    vec = engine.bounded_vector(ell, spec, stats)
-    return vec[ell]
+    _, witness = ClusterChordalEngine(inst).bounded_vector(ell, spec, stats)
+    return witness(ell)
 
 
 class ClusterChordalSolver:
@@ -308,19 +368,23 @@ class ClusterChordalSolver:
     def __init__(self, spec: ColoringFamilySpec):
         self.spec = spec
 
-    def solve_vector(self, sub: WeightedInstance, max_bound: int) -> list[Solution]:
+    def solve_vector(
+        self, sub: WeightedInstance, max_bound: int
+    ) -> tuple[list[int], Callable[[int], Solution]]:
         return ClusterChordalEngine(sub).bounded_vector(max_bound, self.spec)
 
     def __call__(self, sub: WeightedInstance, bound: int) -> Solution:
-        return self.solve_vector(sub, bound)[bound]
+        return self.solve_vector(sub, bound)[1](bound)
 
 
-def _assemble(bounds: tuple[int, ...], vectors: list[list[Solution]]) -> Solution:
+def _assemble(
+    bounds: tuple[int, ...], witnesses: list[Callable[[int], Solution]]
+) -> Solution:
     verts: set[int] = set()
     assignment: dict[int, int] = {}
     weight = 0
     for i, b in enumerate(bounds):
-        sol = vectors[i][b]
+        sol = witnesses[i](b)
         verts |= sol.vertices
         weight += sol.weight
         for v in sol.vertices:
@@ -331,36 +395,56 @@ def _assemble(bounds: tuple[int, ...], vectors: list[list[Solution]]) -> Solutio
 def _class_vector_fn(inst, ell, solver):
     """Memoized per-class bound vectors in the parent instance's vertex ids.
 
-    Uses the solver's vector entry point when it has one (so one engine
-    sweep serves every bound of a color class), otherwise one call per
-    bound.
+    class_vector(block) returns (witness, weights): weights[b] for b =
+    0..ell is the class's bounded MWIS weight at bound b, and witness(b)
+    builds, lifts and validates its witness on first use.  Uses the
+    solver's vector entry point when it has one (so one engine sweep
+    serves every bound of a color class), otherwise one call per bound.
+    The cache keeps weights and built witnesses, never a solver's run: a
+    cache hit whose witness was never built solves its class again.
     """
     vector_fn = getattr(solver, "solve_vector", None)
-    cache: dict[frozenset[int], tuple[list[Solution], tuple[int, ...]]] = {}
+    cache: dict[frozenset[int], tuple[tuple[int, ...], dict[int, Solution]]] = {}
 
-    def class_vector(block: frozenset[int]) -> tuple[list[Solution], tuple[int, ...]]:
-        got = cache.get(block)
-        if got is not None:
-            return got
-        sub, mapping = inst.induce(block)
+    def solve(block: frozenset[int]):
+        sub, _ = inst.induce(block)
         bmax = min(ell, len(block))
         if vector_fn is not None:
-            raw = vector_fn(sub, bmax)
+            weights, witness = vector_fn(sub, bmax)
         else:
-            raw = [solver(sub, b) for b in range(bmax + 1)]
-        sols = []
-        for b, sol in enumerate(raw):
-            verts = frozenset(mapping[v] for v in sol.vertices)
-            lifted = Solution(verts, sol.weight, None)
-            lifted.validate(inst)
-            if len(verts) > b:
-                raise ValidationError("bounded solver exceeded its size bound")
-            sols.append(lifted)
-        while len(sols) < ell + 1:
-            sols.append(sols[-1])
-        got = (sols, tuple(s.weight for s in sols))
-        cache[block] = got
-        return got
+            sols = [solver(sub, b) for b in range(bmax + 1)]
+            weights, witness = [s.weight for s in sols], sols.__getitem__
+        return tuple(weights) + (weights[-1],) * (ell - bmax), witness
+
+    def class_vector(block: frozenset[int]):
+        got = cache.get(block)
+        witness = None
+        if got is None:
+            weights, witness = solve(block)
+            got = cache[block] = (weights, {})
+        weights, built = got
+
+        def lifted(b: int) -> Solution:
+            nonlocal witness
+            b = min(b, len(block))  # past the class size the vector is flat
+            if b not in built:
+                if witness is None:
+                    again, witness = solve(block)  # deterministic: same runs
+                    if again != weights:
+                        raise ValidationError("class re-solve changed its weights")
+                sol = witness(b)
+                mapping = sorted(block)
+                verts = frozenset(mapping[v] for v in sol.vertices)
+                sol = Solution(verts, sol.weight, None)
+                sol.validate(inst)
+                if len(verts) > b:
+                    raise ValidationError("bounded solver exceeded its size bound")
+                if sol.weight != weights[b]:
+                    raise ValidationError("class witness disagrees with its weight")
+                built[b] = sol
+            return built[b]
+
+        return lifted, weights
 
     return class_vector
 
@@ -413,27 +497,28 @@ def _greedy_floor(inst: WeightedInstance, c: int, ell: int) -> int:
 
 
 def _best_over_colorings(
-    colorings, c, ell, class_vector, weights, mask, floor=0
-) -> tuple[Solution, int, int]:
-    """Optimum over a run of vertex colorings, the number of colorings and
-    the number skipped by the weight bound or the ceiling.
+    size, colorings, c, ell, class_vector, weights, mask, floor=0
+) -> tuple[Solution, int]:
+    """Optimum over a family of size vertex colorings, and the number of
+    colorings skipped by the weight bound or the ceiling.
 
     The first coloring in order that reaches the heaviest weight wins, with
     its first heaviest size split.  The bound is a greedy clique cover of
     each class in the graph whose neighbor bitmasks are mask.  A coloring
     whose bound is below floor is skipped too, which keeps the answer only
-    if the answer reaches floor.
+    if the answer reaches floor.  Once the incumbent reaches the ceiling no
+    further coloring is pulled; the rest count as skipped.  Only the new
+    incumbent's class witnesses are built.
     """
     best = Solution(frozenset(), 0, {})
-    trials = skipped = 0
+    walked = skipped = 0
     order = sorted(range(len(weights)), key=lambda v: -weights[v])
     # no bound exceeds this: a clique holds at most c vertices of the answer
     ceiling = _cover_bound([0] * len(weights), c, ell, weights, order, mask)
+    if ceiling == 0:  # the empty incumbent is already at the ceiling
+        colorings = ()
     for coloring in colorings:
-        trials += 1
-        if best.weight >= ceiling:
-            skipped += 1
-            continue
+        walked += 1
         bound = _cover_bound(coloring, 1, ell, weights, order, mask)
         if bound <= best.weight or bound < floor:
             skipped += 1
@@ -452,13 +537,16 @@ def _best_over_colorings(
                 best_total, best_bounds = total, bounds
         if best_bounds is not None:
             best = _assemble(best_bounds, [p[0] for p in pairs])
-    return best, trials, skipped
+            if best.weight >= ceiling:
+                break
+    return best, skipped + size - walked
 
 
-def _vertex_colorings(
+def _vertex_family(
     inst: WeightedInstance, c: int, ell: int, spec: ColoringFamilySpec
-) -> Iterator[tuple[int, ...]]:
-    """The subgraph reduction's family; empty when the budget is zero."""
+) -> tuple[int, Iterator[tuple[int, ...]]]:
+    """The subgraph reduction's family, as _colorings gives it; empty when
+    the budget is zero."""
     if c < 1:
         raise ValueError("c must be positive")
     if c > MAX_COLORS:
@@ -467,9 +555,16 @@ def _vertex_colorings(
         raise ValueError("ell must be non-negative")
     n = inst.graph.n
     if ell == 0 or n == 0:
-        return iter(())
+        return 0, iter(())
     # an answer holds at most n vertices
     return _colorings(n, c, c ** min(ell, n), spec)
+
+
+def _vertex_colorings(
+    inst: WeightedInstance, c: int, ell: int, spec: ColoringFamilySpec
+) -> Iterator[tuple[int, ...]]:
+    """The subgraph reduction's colorings, without the family's size."""
+    return _vertex_family(inst, c, ell, spec)[1]
 
 
 def mwccs_from_mwis(
@@ -484,23 +579,26 @@ def mwccs_from_mwis(
     via bounded MWIS on the classes of vertex colorings.
 
     The solver must be exact on induced sub-instances (the class is
-    hereditary).  EXHAUSTIVE mode walks every coloring of the vertex set
-    into at most c classes and is exact; RANDOMIZED mode draws
-    ceil(c^min(ell, n) * ln(1/epsilon)) uniform colorings.  Either is
-    refused past FAMILY_CAP colorings unless spec.trial_cap bounds the
-    draws.  stats gains "trials" and "skipped" (colorings ruled out by the
-    weight bound).
+    hereditary).  EXHAUSTIVE mode walks the colorings of the vertex set
+    into at most c classes, one per set partition, and is exact; RANDOMIZED
+    mode draws ceil(c^min(ell, n) * ln(1/epsilon)) uniform colorings.
+    Either is refused past FAMILY_CAP colorings unless spec.trial_cap
+    bounds the draws.  The walk stops once the incumbent reaches the
+    ceiling, so later colorings are never made or drawn, and builds
+    witnesses only for its incumbents' classes.  stats gains "trials" (the
+    family's size, walked or not) and "skipped" (colorings ruled out by the
+    weight bound or never walked).
     """
-    family = _vertex_colorings(inst, c, ell, spec)
+    size, family = _vertex_family(inst, c, ell, spec)
     class_vector = _class_vector_fn(inst, ell, mwis_bounded_solver)
     # an exhaustive walk is exact, so its answer reaches any feasible weight;
     # a randomized family may fall short of it, and gets no floor
     floor = _greedy_floor(inst, c, ell) if spec.mode == Mode.EXHAUSTIVE else 0
-    best, trials, skipped = _best_over_colorings(
-        family, c, ell, class_vector, inst.weights, inst.graph.mask, floor
+    best, skipped = _best_over_colorings(
+        size, family, c, ell, class_vector, inst.weights, inst.graph.mask, floor
     )
     if stats is not None:
-        stats["trials"] = stats.get("trials", 0) + trials
+        stats["trials"] = stats.get("trials", 0) + size
         stats["skipped"] = stats.get("skipped", 0) + skipped
     best.validate(inst, c)
     if len(best.vertices) > ell:

@@ -404,31 +404,34 @@ class ColorfulRun:
             raise ValidationError("DP root has no feasible entry")
         return self._solution_at(full, best_sel)
 
-    def best_by_color_count(self, max_count: int) -> list[Solution]:
-        """Entry b: the optimum among solutions using at most b distinct
-        colors (hence at most b vertices); prefix-maximal, never None."""
+    def color_count_keys(self, max_count: int) -> list[tuple[int, int, int]]:
+        """Entry b: (value, C, sel) of the optimum among solutions using at
+        most b distinct colors (hence at most b vertices), read from the root
+        table alone; prefix-maximal, the first maximum in (sel, C) order.
+        _solution_at(C, sel) builds its witness."""
         pops = _popcounts(self.c)
-        per_bucket: list[tuple[int, int, int]] = []  # (value, C, sel)
-        for b in range(min(max_count, self.c) + 1):
-            positions = np.flatnonzero(pops == b)
-            best_val, best_c, best_sel = NEG, 0, 0
-            for i, arr in enumerate(self.root_vals):
-                vals = arr[positions]
-                j = int(np.argmax(vals))
-                v = int(vals[j])
-                if v > best_val:
-                    best_val, best_c, best_sel = v, int(positions[j]), i
-            per_bucket.append((best_val, best_c, best_sel))
-        out: list[Solution] = []
+        table = np.stack(self.root_vals)
+        out: list[tuple[int, int, int]] = []
         cur = (FEAS_MIN, 0, 0)
-        cache: dict[tuple[int, int], Solution] = {}
         for b in range(max_count + 1):
-            if b < len(per_bucket) and per_bucket[b][0] > cur[0]:
-                cur = per_bucket[b]
-            key = (cur[1], cur[2])
-            if key not in cache:
-                cache[key] = self._solution_at(cur[1], cur[2])
-            out.append(cache[key])
+            if b <= self.c:
+                positions = np.flatnonzero(pops == b)
+                vals = table[:, positions]
+                sel, j = divmod(int(np.argmax(vals)), positions.size)
+                if int(vals[sel, j]) > cur[0]:
+                    cur = (int(vals[sel, j]), int(positions[j]), sel)
+            out.append(cur)
+        return out
+
+    def best_by_color_count(self, max_count: int) -> list[Solution]:
+        """Entry b: the witness of color_count_keys' entry b; prefix-maximal,
+        never None."""
+        built: dict[tuple[int, int], Solution] = {}
+        out: list[Solution] = []
+        for _, C, sel in self.color_count_keys(max_count):
+            if (C, sel) not in built:
+                built[C, sel] = self._solution_at(C, sel)
+            out.append(built[C, sel])
         return out
 
 

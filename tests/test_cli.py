@@ -340,6 +340,25 @@ def test_trial_cap_overrides_the_family_cap(tmp_path, capsys):
     assert meta["trials"] == 4 and len(sol.vertices) <= 20
 
 
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["mwccs", "--c", "1", "--ell", "710", "--mode", "randomized"],
+        ["mwccs", "--c", "1", "--ell", "40", "--mode", "randomized", "--trial-cap", "2"],
+        ["mwis", "--ell", "40", "--mode", "randomized", "--trial-cap", "2"],
+    ],
+)
+def test_randomized_inner_family_is_priced_before_drawing(args, tmp_path, capsys):
+    # 800 isolated vertices: the inner randomized family would draw colorings
+    # with up to ell colors, whose base e^ell may pass the float range and
+    # whose DP runs exceed the cell cap
+    path = tmp_path / "iso.iki"
+    path.write_text("p iki 800 0\n")
+    code, out, err = run_cli(["solve", args[0], str(path), *args[1:]], capsys)
+    assert code == 3 and out == ""
+    assert err.startswith("size cap: randomized inner query needs")
+
+
 def test_oracle_hamiltonian(tmp_path, capsys):
     c5 = tmp_path / "c5.iki"
     write_instance(WeightedInstance.unit(cycle_graph(5)), c5)

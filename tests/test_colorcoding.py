@@ -3,6 +3,7 @@ import json
 import math
 import random
 import time
+from types import SimpleNamespace
 
 import pytest
 
@@ -37,6 +38,7 @@ from mwccs.graph import (
     SizeCapError,
     Solution,
     WeightedInstance,
+    better_solution,
     solution_sort_key,
 )
 from mwccs.oracle import brute_mwccs, brute_mwis
@@ -301,6 +303,22 @@ def test_exhaustive_inner_cluster_subsets_match_brute():
     assert sorted(got.vertices) == [4, 5]
 
 
+def _eager_bounded_vector(engine, ell, family=None):
+    """Every run's witness at every bound, folded with better_solution: the
+    witnesses bounded_vector must build lazily.  The family defaults to the
+    k-subset family of a class past IDENTITY_COLOR_CAP clusters."""
+    d = len(engine.clusters)
+    best = [Solution(frozenset(), 0, None)] * (ell + 1)
+    if family is None:
+        family = colorcoding._subset_colorings(d, d if d <= ell else ell)
+    for f in family:
+        vec = engine._run(f, max(f)).best_by_color_count(min(ell, max(f)))
+        for b in range(ell + 1):
+            cand = vec[min(b, len(vec) - 1)]
+            best[b] = better_solution(best[b], Solution(cand.vertices, cand.weight, None))
+    return best
+
+
 def test_exhaustive_inner_sweep_past_the_identity_cap_matches_brute():
     for n in (13, 14, 15):
         rng = random.Random(n)
@@ -312,10 +330,13 @@ def test_exhaustive_inner_sweep_past_the_identity_cap_matches_brute():
         engine = ClusterChordalEngine(inst)
         for ell in range(1, 5):
             stats: dict = {}
-            vec = engine.bounded_vector(ell, EX, stats)
+            weights, witness = engine.bounded_vector(ell, EX, stats)
             assert stats["trials"] == math.comb(n, ell)  # one run per ell-subset
-            for b, sol in enumerate(vec):
-                assert sol.weight == brute_mwis(inst, ell_cap=b).weight, (n, ell, b)
+            eager = _eager_bounded_vector(engine, ell)
+            for b, weight in enumerate(weights):
+                assert weight == brute_mwis(inst, ell_cap=b).weight, (n, ell, b)
+                # ties between k-subset runs keep the eager fold's witness
+                assert witness(b) == eager[b], (n, ell, b)
 
 
 def _tie_heavy_set():
@@ -355,7 +376,7 @@ def test_pinned_exhaustive_witnesses_and_randomized_weights():
 def test_family_cap_at_creation(monkeypatch):
     assert FAMILY_CAP == 2**24
     for m, k in ((24, 2), (12, 4)):  # k^m equals the cap: accepted
-        family = _colorings(m, k, 1.0, EX)
+        _, family = _colorings(m, k, 1.0, EX)
         assert next(family) == (1,) * m
     for m, k in ((25, 2), (13, 4)):
         with pytest.raises(SizeCapError, match="randomized"):
@@ -364,12 +385,12 @@ def test_family_cap_at_creation(monkeypatch):
     # the same cap, base past the float range included, unless a trial cap
     # bounds the draws
     rnd = ColoringFamilySpec(Mode.RANDOMIZED, epsilon=0.5)
-    assert next(_colorings(3, 2, (FAMILY_CAP - 1) / math.log(2), rnd))
+    assert next(_colorings(3, 2, (FAMILY_CAP - 1) / math.log(2), rnd)[1])
     capped = ColoringFamilySpec(Mode.RANDOMIZED, epsilon=0.5, trial_cap=2)
     for base in ((FAMILY_CAP + 1) / math.log(2), 2**1100):
         with pytest.raises(SizeCapError, match="trial cap"):
             _colorings(3, 2, base, rnd)
-        assert len(list(_colorings(3, 2, base, capped))) == 2
+        assert len(list(_colorings(3, 2, base, capped)[1])) == 2
     # both levels ask for the capped family; a stub stands in for the walk
     made = []
 
@@ -388,11 +409,10 @@ def test_family_cap_at_creation(monkeypatch):
     assert made == [(24, 2)]
     # inner queries never walk set partitions, whatever their cluster count
     engine = ClusterChordalEngine(_chordal_with_singletons(outer))
-    assert [s.weight for s in engine.bounded_vector(2, EX)] == [0, 1, 2]
+    assert engine.bounded_vector(2, EX)[0] == [0, 1, 2]
     thirteen = _chordal_with_singletons(WeightedInstance.unit(Graph(13, [])))
     for spec in (EX, ColoringFamilySpec(Mode.RANDOMIZED, epsilon=0.5, seed=0)):
-        vec = ClusterChordalEngine(thirteen).bounded_vector(2, spec)
-        assert [s.weight for s in vec] == [0, 1, 2]
+        assert ClusterChordalEngine(thirteen).bounded_vector(2, spec)[0] == [0, 1, 2]
     assert made == [(24, 2)]
 
 
@@ -541,3 +561,131 @@ def test_skipped_colorings_make_no_solver_calls():
     assert got.weight == want.weight and stats["trials"] == trials
     assert 0 < stats["skipped"] <= trials
     assert pruned_calls < len(calls)
+
+
+def test_family_size_is_returned_with_the_family():
+    for m in range(10):
+        for k in range(1, 5):
+            size, family = _colorings(m, k, 1.0, EX)
+            assert size == len(list(colorcoding._partition_colorings(m, k)))
+            assert size == len(list(family))
+    for base in (1.0, 2**6, 3**5):
+        for cap in (None, 1, 10**9):
+            spec = ColoringFamilySpec(Mode.RANDOMIZED, epsilon=0.05, seed=4, trial_cap=cap)
+            size, family = _colorings(5, 3, base, spec)
+            assert size == colorcoding._randomized_trials(base, spec)
+            assert size == len(list(family))
+
+
+def test_walk_stops_at_the_ceiling(monkeypatch):
+    inst = random_cluster_chordal_instance(22, 3, 3, 30, 7)
+    c, ell = 2, 8
+    n, w = inst.graph.n, inst.weights
+    order = sorted(range(n), key=lambda v: -w[v])
+    ceiling = _cover_bound([0] * n, c, ell, w, order, inst.graph.mask)
+    made = [0]  # exhaustive colorings made, or random values drawn
+    at_assemble: list[int] = []
+    real_partitions, real_assemble = colorcoding._partition_colorings, _assemble
+
+    def counted_partitions(m, k):
+        for coloring in real_partitions(m, k):
+            made[0] += 1
+            yield coloring
+
+    class CountingRandom(random.Random):
+        def randint(self, a, b):
+            made[0] += 1
+            return super().randint(a, b)
+
+    def noted_assemble(bounds, witnesses):
+        at_assemble.append(made[0])
+        return real_assemble(bounds, witnesses)
+
+    monkeypatch.setattr(colorcoding, "_partition_colorings", counted_partitions)
+    monkeypatch.setattr(colorcoding, "random", SimpleNamespace(Random=CountingRandom))
+    monkeypatch.setattr(colorcoding, "_assemble", noted_assemble)
+    randomized = ColoringFamilySpec(Mode.RANDOMIZED, seed=3)
+    for spec, size, per_coloring in (
+        (EX, 2**21, 1),  # S(22, 1) + S(22, 2) set partitions
+        (randomized, math.ceil(2**8 * math.log(100)), n),  # n draws per coloring
+    ):
+        made[0] = 0
+        at_assemble.clear()
+        stats: dict = {}
+        got = mwccs_cluster_chordal(inst, c, ell, spec, stats)
+        assert got.weight == ceiling
+        assert stats["trials"] == size
+        # nothing was made or drawn after the incumbent reached the ceiling
+        assert made[0] == at_assemble[-1] < size * per_coloring
+        assert stats["skipped"] >= size - made[0] // per_coloring
+
+
+def test_witnesses_are_built_only_for_incumbents(monkeypatch):
+    from mwccs.dp import ColorfulRun
+
+    real_solution_at, real_assemble = ColorfulRun._solution_at, _assemble
+    built: list[int] = []  # witnesses built by the current _assemble call
+    outside = []
+
+    def counted_solution_at(run, C, sel):
+        if built:
+            built[-1] += 1
+        else:
+            outside.append((C, sel))
+        return real_solution_at(run, C, sel)
+
+    def noted_assemble(bounds, witnesses):
+        built.append(0)
+        try:
+            return real_assemble(bounds, witnesses)
+        finally:
+            assert built.pop() <= len(bounds)
+
+    monkeypatch.setattr(ColorfulRun, "_solution_at", counted_solution_at)
+    monkeypatch.setattr(colorcoding, "_assemble", noted_assemble)
+    for i, (inst, c, ell) in enumerate(_tie_heavy_set()):
+        for spec in (EX, ColoringFamilySpec(Mode.RANDOMIZED, epsilon=0.1, seed=i)):
+            mwccs_cluster_chordal(inst, c, ell, spec)
+    # classes here have at most 12 clusters, so one inner run and no ties
+    assert outside == []
+
+
+def test_cache_hit_rebuilds_an_unbuilt_witness():
+    inst = random_cluster_chordal_instance(10, 3, 3, 3, seed=5)
+    block, ell = frozenset(range(0, 10, 2)), 3
+    queries = []
+
+    class CountingSolver(ClusterChordalSolver):
+        def solve_vector(self, sub, max_bound):
+            queries.append(max_bound)
+            return super().solve_vector(sub, max_bound)
+
+    fresh, fresh_weights = _class_vector_fn(inst, ell, ClusterChordalSolver(EX))(block)
+    class_vector = _class_vector_fn(inst, ell, CountingSolver(EX))
+    class_vector(block)  # a miss whose witnesses are never built
+    witness, weights = class_vector(block)  # a hit
+    assert weights == fresh_weights and len(queries) == 1
+    for b in range(ell + 1):
+        assert witness(b) == fresh(b)
+    assert len(queries) == 2  # one re-solve served every bound
+
+
+def test_randomized_inner_witnesses_past_the_held_cell_budget(monkeypatch):
+    # a cell budget of one run sends the query to the randomized family and
+    # makes it build the witnesses it holds whenever it keeps a second run
+    spec = ColoringFamilySpec(Mode.RANDOMIZED, epsilon=0.01, seed=2)
+    for n in (13, 14):
+        rng = random.Random(n)
+        inst = _chordal_with_singletons(
+            WeightedInstance(
+                random_chordal(n, 3, n), tuple(rng.randint(0, 3) for _ in range(n))
+            )
+        )
+        engine = ClusterChordalEngine(inst)
+        ell = 3
+        monkeypatch.setattr(colorcoding, "MAX_CELLS", engine.dp.num_sels << ell)
+        weights, witness = engine.bounded_vector(ell, spec)
+        _, family = _colorings(n, ell, math.e**ell, spec)
+        eager = _eager_bounded_vector(engine, ell, family)
+        assert weights == [sol.weight for sol in eager]
+        assert [witness(b) for b in range(ell + 1)] == eager
