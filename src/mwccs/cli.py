@@ -8,6 +8,7 @@ error (a failed self-validation or any other unexpected exception).
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 import time
 
@@ -39,6 +40,7 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
+@functools.cache  # built once per process; parse_args leaves it unchanged
 def _build_parser() -> _Parser:
     top = _Parser(prog="mwccs", description=__doc__)
     sub = top.add_subparsers(dest="command", required=True)

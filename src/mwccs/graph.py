@@ -1,8 +1,10 @@
 """Core graph representation and the primitive predicates everything else builds on.
 
 Vertices are dense 0-based ids.  Vertex sets cross the public API as
-frozensets; internally most search routines work on int bitmasks, which
-``Graph`` precomputes per vertex.
+frozensets.  The bitmask searches below, the cover bound and the oracles
+work on int bitmasks, which ``Graph`` builds per vertex on the first read of
+``mask``; the chordal front end (parse, recognition, chordal MWIS) reads
+only the adjacency sets and never pays for them.
 """
 
 from __future__ import annotations
@@ -12,6 +14,10 @@ from dataclasses import dataclass
 # Weights are non-negative ints.  Totals must stay below this bound so the
 # DP's int64 arithmetic (including the -inf sentinel) cannot overflow.
 MAX_TOTAL_WEIGHT = 2**53
+
+# find_independent_subset refuses, with SizeCapError, a search that pops more
+# nodes than this (about a second of branching).
+MAX_SEARCH_NODES = 1_000_000
 
 
 class SizeCapError(RuntimeError):
@@ -40,6 +46,22 @@ def _vertex_mask(g: "Graph", s) -> int:
     return mask
 
 
+def _raise_first_bad_edge(n: int, edges: list) -> None:
+    """Raise the error of the first out-of-range, self-loop or repeated edge,
+    checking edges one at a time in the given order."""
+    seen: list[set[int]] = [set() for _ in range(n)]
+    for u, v in edges:
+        if not (0 <= u < n and 0 <= v < n):
+            raise ValueError(f"edge ({u},{v}) out of range for n={n}")
+        if u == v:
+            raise ValueError(f"self-loop at vertex {u}")
+        if v in seen[u]:
+            raise ValueError(f"duplicate edge ({u},{v})")
+        seen[u].add(v)
+        seen[v].add(u)
+    raise AssertionError("no bad edge found")
+
+
 def _mask_to_set(mask: int) -> frozenset[int]:
     out = []
     v = 0
@@ -54,29 +76,39 @@ def _mask_to_set(mask: int) -> frozenset[int]:
 class Graph:
     """Undirected simple graph over vertex ids {0, ..., n-1}.
 
-    Immutable after construction; safe to share across workers.
+    Immutable after construction; safe to share across workers.  The
+    per-vertex bitmasks (``mask``) are built on first read and cached.  Two
+    threads that read them at once may both build them; each stores an
+    equal tuple, so the race is idempotent and sharing stays safe.
     """
 
-    __slots__ = ("n", "adj", "mask")
+    __slots__ = ("n", "adj", "_mask")
 
     def __init__(self, n: int, edges=()):
         if n < 0:
             raise ValueError("vertex count must be non-negative")
+        edges = list(edges)  # iterated again if a check fails
         adj: list[set[int]] = [set() for _ in range(n)]
         for u, v in edges:
-            if not (0 <= u < n and 0 <= v < n):
-                raise ValueError(f"edge ({u},{v}) out of range for n={n}")
-            if u == v:
-                raise ValueError(f"self-loop at vertex {u}")
-            if v in adj[u]:
-                raise ValueError(f"duplicate edge ({u},{v})")
+            if u == v or not (0 <= u < n and 0 <= v < n):
+                _raise_first_bad_edge(n, edges)
             adj[u].add(v)
             adj[v].add(u)
+        # a repeated edge adds nothing to either set, so one check per graph
+        # finds that some edge repeats
+        if sum(map(len, adj)) != 2 * len(edges):
+            _raise_first_bad_edge(n, edges)
         self.n = n
         self.adj: tuple[frozenset[int], ...] = tuple(frozenset(s) for s in adj)
-        self.mask: tuple[int, ...] = tuple(
-            sum(1 << u for u in s) for s in self.adj
-        )
+        self._mask: tuple[int, ...] | None = None
+
+    @property
+    def mask(self) -> tuple[int, ...]:
+        """Each vertex's neighbours as an int bitmask."""
+        mask = self._mask
+        if mask is None:
+            mask = self._mask = tuple(sum(1 << u for u in s) for s in self.adj)
+        return mask
 
     @property
     def m(self) -> int:
@@ -131,9 +163,12 @@ def induced_subgraph(g: Graph, s) -> tuple[Graph, tuple[int, ...]]:
 
 def is_independent(g: Graph, s) -> bool:
     """True iff no edge of g joins two vertices of s."""
-    verts = list(s)
-    taken = sum(1 << v for v in verts)
-    return all(g.mask[v] & taken == 0 for v in verts)
+    verts = frozenset(s)
+    for v in verts:
+        if not 0 <= v < g.n:
+            raise ValueError(f"vertex {v} out of range")
+    adj = g.adj
+    return all(adj[v].isdisjoint(verts) for v in verts)
 
 
 def find_independent_subset(g: Graph, s, size: int) -> frozenset[int] | None:
@@ -142,14 +177,23 @@ def find_independent_subset(g: Graph, s, size: int) -> frozenset[int] | None:
     Bounded branch-and-prune: only explores as far as needed to certify
     existence, so it stays cheap when size is small.  Branches on the lowest
     available vertex, taking it before skipping it; an explicit stack keeps
-    large sets within reach of the recursion limit.
+    large sets within reach of the recursion limit.  Raises SizeCapError once
+    the search pops more than MAX_SEARCH_NODES nodes.
     """
     if size <= 0:
         return frozenset()
     avail = _vertex_mask(g, s)
+    nbr = g.mask
     stack = [(avail, 0, size)]
+    popped = 0
     while stack:
         avail_mask, chosen, need = stack.pop()
+        popped += 1
+        if popped > MAX_SEARCH_NODES:
+            raise SizeCapError(
+                f"independent-subset search of size {size} popped {popped} "
+                f"nodes, past the cap of {MAX_SEARCH_NODES}"
+            )
         if need == 0:
             return _mask_to_set(chosen)
         if avail_mask.bit_count() < need:
@@ -157,7 +201,7 @@ def find_independent_subset(g: Graph, s, size: int) -> frozenset[int] | None:
         bit = avail_mask & -avail_mask
         v = bit.bit_length() - 1
         stack.append((avail_mask & ~bit, chosen, need))
-        stack.append((avail_mask & ~g.mask[v] & ~bit, chosen | bit, need - 1))
+        stack.append((avail_mask & ~nbr[v] & ~bit, chosen | bit, need - 1))
     return None
 
 
@@ -165,7 +209,8 @@ def is_clique(g: Graph, s) -> bool:
     """True iff every two vertices of s are adjacent."""
     verts = list(s)
     want = _vertex_mask(g, verts)
-    return all((g.mask[v] | 1 << v) & want == want for v in verts)
+    nbr = g.mask
+    return all((nbr[v] | 1 << v) & want == want for v in verts)
 
 
 def independence_bounded(g: Graph, s, k: int) -> bool:
@@ -212,6 +257,8 @@ def is_c_colorable(g: Graph, c: int) -> dict[int, int] | None:
 def _max_cliques_of_mask(g: Graph, cand: int):
     """Yield all maximal cliques (as masks) of the subgraph induced by cand."""
     # Bron-Kerbosch with greedy pivoting, all sets held as bitmasks.
+    nbr = g.mask
+
     def rec(r: int, p: int, x: int):
         if p == 0 and x == 0:
             yield r
@@ -223,16 +270,16 @@ def _max_cliques_of_mask(g: Graph, cand: int):
         while pool:
             u = (pool & -pool).bit_length() - 1
             pool &= pool - 1
-            deg = (p & g.mask[u]).bit_count()
+            deg = (p & nbr[u]).bit_count()
             if deg > best:
                 best = deg
                 pivot = u
-        branch = p & ~g.mask[pivot]
+        branch = p & ~nbr[pivot]
         while branch:
             v = (branch & -branch).bit_length() - 1
             bit = 1 << v
             branch &= branch - 1
-            yield from rec(r | bit, p & g.mask[v], x & g.mask[v])
+            yield from rec(r | bit, p & nbr[v], x & nbr[v])
             p &= ~bit
             x |= bit
 
@@ -251,14 +298,15 @@ def maximal_cliques_containing(
     """
     if not 0 <= v < g.n:
         raise ValueError(f"vertex {v} out of range")
-    nb_mask = g.mask[v]
+    nbr = g.mask
+    nb_mask = nbr[v]
     out: list[frozenset[int]] = []
     for clique_mask in _max_cliques_of_mask(g, nb_mask):
         full = _mask_to_set(clique_mask | (1 << v))
         # maximality: nothing in N[v] extends the clique
         all_mask = clique_mask | (1 << v)
         for u in g.adj[v]:
-            assert (1 << u) & all_mask or (g.mask[u] & all_mask) != all_mask, (
+            assert (1 << u) & all_mask or (nbr[u] & all_mask) != all_mask, (
                 f"clique {sorted(full)} extendable by {u}"
             )
         out.append(full)

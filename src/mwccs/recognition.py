@@ -44,8 +44,9 @@ def maximum_cardinality_search(g: Graph) -> Ordering:
     elimination ordering.
     """
     n = g.n
+    adj = g.adj
     weight = [0] * n
-    visited = [False] * n
+    unvisited = set(range(n))
     # bucket queue over current weights; highest bucket wins, lowest id breaks ties
     buckets: list[set[int]] = [set(range(n))] + [set() for _ in range(n)]
     top = 0
@@ -54,15 +55,16 @@ def maximum_cardinality_search(g: Graph) -> Ordering:
         while not buckets[top]:
             top -= 1
         v = min(buckets[top])
-        buckets[top].discard(v)
-        visited[v] = True
+        buckets[top].remove(v)
+        unvisited.remove(v)
         order.append(v)
-        for u in g.adj[v]:
-            if not visited[u]:
-                buckets[weight[u]].discard(u)
-                weight[u] += 1
-                buckets[weight[u]].add(u)
-                top = max(top, weight[u])
+        for u in adj[v] & unvisited:
+            w = weight[u]
+            buckets[w].remove(u)
+            weight[u] = w + 1
+            buckets[w + 1].add(u)
+        # every weight was at most top, so none now exceeds top + 1
+        top += 1
     return tuple(order)
 
 
@@ -74,13 +76,16 @@ def verify_peo(g: Graph, order) -> bool:
     to p.
     """
     order, pos = _check_permutation(g, order)
-    for i, v in enumerate(order):
-        later = {u for u in g.adj[v] if pos[u] > i}
+    adj = g.adj
+    earlier: set[int] = set()
+    for v in order:
+        later = adj[v] - earlier
         if len(later) > 1:
             p = min(later, key=pos.__getitem__)
-            later.discard(p)
-            if not later <= g.adj[p]:
+            # every later vertex but p must lie in adj[p]; p itself never does
+            if len(later - adj[p]) > 1:
                 return False
+        earlier.add(v)
     return True
 
 

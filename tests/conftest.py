@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from mwccs.generators import random_chordal
 from mwccs.graph import Graph
 
 
@@ -47,3 +48,31 @@ def petersen_graph() -> Graph:
 @pytest.fixture
 def k3():
     return complete_graph(3)
+
+
+def disjoint_union(a: Graph, b: Graph) -> Graph:
+    shifted = [(u + a.n, v + a.n) for u, v in b.edges()]
+    return Graph(a.n + b.n, a.edges() + shifted)
+
+
+def mixed_graphs(count: int, seed: int):
+    """n = 0 and n = 1, then count graphs cycling through random chordal,
+    random (mostly non-chordal), disconnected and complete ones."""
+    rng = random.Random(seed)
+    yield Graph(0)
+    yield Graph(1)
+    for i in range(count):
+        n = rng.randint(2, 40)
+        kind = i % 4
+        if kind == 0:
+            yield random_chordal(n, rng.randint(1, 8), rng.getrandbits(32))
+        elif kind == 1:
+            yield random_graph(n, rng.random(), rng.getrandbits(32))
+        elif kind == 2:
+            k = rng.randint(1, n - 1)
+            yield disjoint_union(
+                random_chordal(k, rng.randint(1, 6), rng.getrandbits(32)),
+                random_graph(n - k, rng.random(), rng.getrandbits(32)),
+            )
+        else:
+            yield complete_graph(n)

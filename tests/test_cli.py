@@ -132,6 +132,25 @@ def test_solve_mwis_direct_builds_no_clique_tree(tmp_path, capsys, monkeypatch):
     assert sol.weight == brute_mwis(inst).weight
 
 
+def test_solve_mwis_direct_builds_no_mask(tmp_path, capsys, monkeypatch):
+    read = []
+
+    def no_mask(g):
+        read.append(g)
+        raise AssertionError("bitmasks built")
+
+    monkeypatch.setattr(Graph, "mask", property(no_mask))
+    g = random_chordal(20, 5, seed=7)
+    inst = random_weights(WeightedInstance.unit(g), 50, seed=8)
+    path = tmp_path / "ch.iki"
+    write_instance(inst, path)
+    code, out, err = run_cli(["solve", "mwis", str(path)], capsys)
+    assert code == 0 and not read, err
+    sol, _ = parse_solution_text(out)
+    monkeypatch.undo()
+    assert sol.weight == brute_mwis(inst).weight
+
+
 def test_solve_colorful_refuses_color_30(tmp_path, capsys):
     inst = WeightedInstance(Graph(1), (5,), colors=(30,))
     path = tmp_path / "c30.iki"
@@ -225,6 +244,18 @@ def test_recognize_verdicts(tmp_path, capsys):
         ["recognize", str(chordal), "--class", "cluster-chordal-brute"], capsys
     )
     assert code == 0
+
+
+def test_recognize_refuses_an_independent_search_past_the_cap(tmp_path, capsys):
+    # hub 1 on the cycle 2..42: its neighbourhood has alpha 20, so looking
+    # for 21 pairwise nonadjacent leaves branches past the search's node cap
+    cyc = [(1 + i, 1 + (i + 1) % 41) for i in range(41)]
+    g = Graph(42, [(0, v) for v in range(1, 42)] + cyc)
+    path = tmp_path / "wheel.iki"
+    write_instance(WeightedInstance.unit(g), path)
+    code, out, err = run_cli(["recognize", str(path), "--class", "k1kfree:21"], capsys)
+    assert code == 3 and out == ""
+    assert err.startswith("size cap: independent-subset search of size 21 popped")
 
 
 def test_generate_round_trips(tmp_path, capsys):

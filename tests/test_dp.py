@@ -23,7 +23,7 @@ from mwccs.treedecomp import (
     verify_tree_decomposition,
 )
 
-from conftest import complete_graph, path_graph
+from conftest import complete_graph, cycle_graph, path_graph
 
 
 def _clique_tree(g):
@@ -376,3 +376,14 @@ def test_single_child_group_past_32767_members():
     td = TreeDecomposition([frozenset({2 * k}), frozenset(range(2 * k))], [None, 0], 0)
     sol = max_weight_colorful_is(inst, td, 2, c=2)
     assert sol.vertices == {k - 1, 2 * k - 1} and sol.weight == 10
+
+
+def test_alpha_checks_refuse_a_search_past_the_cap():
+    # one bag holding C_41 (alpha 20): asking whether 21 independent
+    # vertices exist branches past find_independent_subset's node cap
+    g = cycle_graph(41)
+    td = TreeDecomposition([frozenset(range(41))], [None], 0)
+    with pytest.raises(SizeCapError, match="independent-subset search"):
+        ColorfulDP(WeightedInstance.unit(g), td, 20)
+    with pytest.raises(SizeCapError, match="independent-subset search"):
+        bag_alpha(g, td)

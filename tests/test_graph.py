@@ -4,9 +4,11 @@ import random
 import pytest
 
 from mwccs.graph import (
+    MAX_SEARCH_NODES,
     CliqueCountExceeded,
     Graph,
     MulticoloredCliqueInstance,
+    SizeCapError,
     Solution,
     ValidationError,
     WeightedInstance,
@@ -20,7 +22,14 @@ from mwccs.graph import (
     neighborhood,
 )
 
-from conftest import complete_graph, cycle_graph, path_graph, random_graph, star_graph
+from conftest import (
+    complete_graph,
+    cycle_graph,
+    mixed_graphs,
+    path_graph,
+    random_graph,
+    star_graph,
+)
 
 
 def test_graph_construction_rejects_bad_edges():
@@ -32,6 +41,27 @@ def test_graph_construction_rejects_bad_edges():
         Graph(3, [(0, 1), (1, 0)])
     with pytest.raises(ValueError, match=r"^duplicate edge \(2,1\)$"):
         Graph(3, [(0, 1), (1, 2), (2, 1)])
+
+
+def test_graph_checks_one_shot_edge_iterators():
+    with pytest.raises(ValueError, match=r"^duplicate edge \(1,0\)$"):
+        Graph(3, (e for e in [(0, 1), (1, 0)]))
+    edges = [(0, 1), (1, 2), (0, 2)]
+    assert Graph(3, iter(edges)) == Graph(3, edges)
+    # several faults: the first edge at fault names the error
+    with pytest.raises(ValueError, match=r"^duplicate edge \(1,0\)$"):
+        Graph(3, iter([(0, 1), (1, 0), (2, 5)]))
+    with pytest.raises(ValueError, match=r"^edge \(2,5\) out of range for n=3$"):
+        Graph(3, iter([(0, 1), (2, 5), (1, 0)]))
+    with pytest.raises(ValueError, match=r"^self-loop at vertex 2$"):
+        Graph(3, [(0, 1), (2, 2), (1, 0)])
+
+
+def test_masks_are_built_on_first_read():
+    g = random_graph(30, 0.3, 2)
+    assert g._mask is None
+    assert g.mask == tuple(sum(1 << u for u in g.adj[v]) for v in range(g.n))
+    assert g.mask is g.mask
 
 
 def test_neighborhood():
@@ -66,6 +96,36 @@ def test_is_independent():
     assert is_independent(complete_graph(3), set())
     assert not is_independent(complete_graph(3), {0, 1})
     assert is_independent(cycle_graph(4), {0, 2})
+
+
+def _reference_is_independent(g, s):
+    """Bitmask check: no vertex's neighbour mask meets the set's mask."""
+    verts = list(s)
+    taken = sum(1 << v for v in verts)
+    return all(g.mask[v] & taken == 0 for v in verts)
+
+
+def test_is_independent_matches_mask_reference():
+    rng = random.Random(5)
+    verdicts = {True: 0, False: 0}
+    for g in mixed_graphs(600, seed=5):
+        greedy = set()
+        for v in rng.sample(range(g.n), g.n):
+            if g.adj[v].isdisjoint(greedy):
+                greedy.add(v)
+        sets = [set(), greedy, set(range(g.n))]
+        sets += [{v for v in range(g.n) if rng.random() < p} for p in (0.1, 0.3)]
+        if g.m:
+            u, v = rng.choice(g.edges())
+            sets.append(greedy | {u, v})
+        for s in sets:
+            want = _reference_is_independent(g, s)
+            assert is_independent(g, s) == want, (g, s)
+            verdicts[want] += 1
+    assert min(verdicts.values()) > 1000
+    for bad in ({3}, {0, -1}):
+        with pytest.raises(ValueError, match="out of range"):
+            is_independent(path_graph(3), bad)
 
 
 def test_independence_bounded():
@@ -229,3 +289,9 @@ def test_mcc_instance_validation():
         MulticoloredCliqueInstance(g, ((0, 2), (1, 3)))
     with pytest.raises(ValueError):  # not a cover
         MulticoloredCliqueInstance(g, ((0, 1), (2,)))
+
+
+def test_independent_subset_search_is_capped():
+    # alpha(C_41) = 20; refuting 21 branches past the cap
+    with pytest.raises(SizeCapError, match=f"popped {MAX_SEARCH_NODES + 1} nodes"):
+        find_independent_subset(cycle_graph(41), range(41), 21)

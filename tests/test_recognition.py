@@ -28,6 +28,7 @@ from conftest import (
     complete_bipartite,
     complete_graph,
     cycle_graph,
+    mixed_graphs,
     path_graph,
     petersen_graph,
     random_graph,
@@ -287,3 +288,39 @@ def test_recognition_cliff_one_clique_of_1200():
     # forward pass marks only a strictly larger residual
     assert max(weights) == weights[27] == weights[1027] == 999
     assert sol.vertices == {1027} and sol.weight == 999
+
+
+def _reference_mcs(g):
+    """Bucket-queue MCS with a visited flag per vertex and the top bucket
+    raised to each bumped weight; lowest id breaks ties."""
+    n = g.n
+    weight = [0] * n
+    visited = [False] * n
+    buckets = [set(range(n))] + [set() for _ in range(n)]
+    top = 0
+    order = []
+    for _ in range(n):
+        while not buckets[top]:
+            top -= 1
+        v = min(buckets[top])
+        buckets[top].discard(v)
+        visited[v] = True
+        order.append(v)
+        for u in g.adj[v]:
+            if not visited[u]:
+                buckets[weight[u]].discard(u)
+                weight[u] += 1
+                buckets[weight[u]].add(u)
+                top = max(top, weight[u])
+    return tuple(order)
+
+
+def test_mcs_matches_bucket_reference():
+    chordal = 0
+    for g in mixed_graphs(600, seed=17):
+        order = maximum_cardinality_search(g)
+        assert order == _reference_mcs(g), g
+        chordal += verify_peo(g, order[::-1])
+    assert 300 < chordal < 600
+    big = complete_graph(300)
+    assert maximum_cardinality_search(big) == _reference_mcs(big) == tuple(range(300))
