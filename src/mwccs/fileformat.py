@@ -68,11 +68,10 @@ def parse_instance_text(text: str) -> WeightedInstance:
                 if parts[3] not in ("C", "H"):
                     raise ParseError(f"edge tag must be C or H, got {parts[3]!r}", lineno)
                 tag = parts[3]
-            # a repeated edge overwrites its own key, so the size stays put
-            size = len(edges)
-            edges[(u, v) if u < v else (v, u)] = tag
-            if len(edges) == size:
+            key = (u, v) if u < v else (v, u)
+            if key in edges:
                 raise ParseError(f"duplicate edge {u + 1} {v + 1}", lineno)
+            edges[key] = tag
         elif kind == "p":
             if n is not None:
                 raise ParseError("duplicate header", lineno)

@@ -16,7 +16,8 @@ from dataclasses import dataclass
 MAX_TOTAL_WEIGHT = 2**53
 
 # find_independent_subset refuses, with SizeCapError, a search that pops more
-# nodes than this (about a second of branching).
+# nodes than this: 0.3 s of branching on a 60-vertex path, 1.7 s on a
+# 3000-vertex one (2-vCPU host; a node's cost grows with the mask width).
 MAX_SEARCH_NODES = 1_000_000
 
 
@@ -46,22 +47,6 @@ def _vertex_mask(g: "Graph", s) -> int:
     return mask
 
 
-def _raise_first_bad_edge(n: int, edges: list) -> None:
-    """Raise the error of the first out-of-range, self-loop or repeated edge,
-    checking edges one at a time in the given order."""
-    seen: list[set[int]] = [set() for _ in range(n)]
-    for u, v in edges:
-        if not (0 <= u < n and 0 <= v < n):
-            raise ValueError(f"edge ({u},{v}) out of range for n={n}")
-        if u == v:
-            raise ValueError(f"self-loop at vertex {u}")
-        if v in seen[u]:
-            raise ValueError(f"duplicate edge ({u},{v})")
-        seen[u].add(v)
-        seen[v].add(u)
-    raise AssertionError("no bad edge found")
-
-
 def _mask_to_set(mask: int) -> frozenset[int]:
     out = []
     v = 0
@@ -87,17 +72,16 @@ class Graph:
     def __init__(self, n: int, edges=()):
         if n < 0:
             raise ValueError("vertex count must be non-negative")
-        edges = list(edges)  # iterated again if a check fails
         adj: list[set[int]] = [set() for _ in range(n)]
         for u, v in edges:
-            if u == v or not (0 <= u < n and 0 <= v < n):
-                _raise_first_bad_edge(n, edges)
+            if not (0 <= u < n and 0 <= v < n):
+                raise ValueError(f"edge ({u},{v}) out of range for n={n}")
+            if u == v:
+                raise ValueError(f"self-loop at vertex {u}")
+            if v in adj[u]:
+                raise ValueError(f"duplicate edge ({u},{v})")
             adj[u].add(v)
             adj[v].add(u)
-        # a repeated edge adds nothing to either set, so one check per graph
-        # finds that some edge repeats
-        if sum(map(len, adj)) != 2 * len(edges):
-            _raise_first_bad_edge(n, edges)
         self.n = n
         self.adj: tuple[frozenset[int], ...] = tuple(frozenset(s) for s in adj)
         self._mask: tuple[int, ...] | None = None
