@@ -31,6 +31,9 @@ skipped before any class query.  Once the incumbent reaches the ceiling (the
 same bound on the whole vertex set) the walk stops, and the colorings never
 made count as skipped.  The walk reads only the weights of class queries;
 a class's witness is built only when its coloring becomes the incumbent.
+A class query keeps the same tie rule over its inner runs: the first run in
+family order that reaches a bound's weight holds that bound's witness, and
+the query keeps that run's coloring, not the run.
 """
 
 from __future__ import annotations
@@ -50,7 +53,6 @@ from .graph import (
     Solution,
     ValidationError,
     WeightedInstance,
-    better_solution,
     induced_subgraph,
     is_c_colorable,
 )
@@ -257,10 +259,11 @@ class ClusterChordalEngine:
         (exact unless RANDOMIZED mode draws its family because the exact
         one exceeds MAX_CELLS).
 
-        Runs are compared on their root tables.  A witness is built from
-        the run that holds it, when witness(b) asks for it or when two runs
-        tie at a bound and the smaller vertex set must win; the runs a
-        witness may still need are kept within MAX_CELLS table cells.
+        Runs are compared on their root tables.  At each bound the first
+        run in family order that reaches the heaviest weight wins, with its
+        run's first maximum; only its coloring is kept.  witness(b) builds
+        from the query's last run when that run won, else from one rerun of
+        the winning coloring, so a query holds one run at a time.
         """
         if ell < 0:
             raise ValueError("ell must be non-negative")
@@ -292,50 +295,33 @@ class ClusterChordalEngine:
         else:
             _, family = _colorings(d, ell, math.e**ell, spec)
         weights = [0] * (ell + 1)
-        # per bound: the incumbent's witness, or (run number, run, C, sel)
-        # to build it from; a weight-0 incumbent is the empty set, which
-        # every tie keeps
-        held: list = [empty] * (ell + 1)
-        built: dict[tuple[int, int, int], Solution] = {}
-        held_cells = 0
-
-        def build(entry) -> Solution:
-            if isinstance(entry, Solution):
-                return entry
-            t, run, C, sel = entry
-            if (t, C, sel) not in built:
-                sol = run._solution_at(C, sel)
-                sol = Solution(sol.vertices, sol.weight, None)
-                sol.validate(self.inst)  # independence in the full graph
-                built[t, C, sel] = sol
-            return built[t, C, sel]
-
+        # per bound: (coloring, C, sel) of the first run in family order that
+        # reaches the bound's weight, or None for the empty set
+        held: list = [None] * (ell + 1)
         trials = 0
         for f in family:
             k = max(f)
             run = self._run(f, k)
             keys = run.color_count_keys(min(ell, k))
-            kept = False
             for b in range(ell + 1):
                 value, C, sel = keys[min(b, len(keys) - 1)]
                 if value > weights[b]:
-                    weights[b], held[b] = value, (trials, run, C, sel)
-                    kept = True
-                elif value == weights[b] > 0:
-                    held[b] = better_solution(
-                        build(held[b]), build((trials, run, C, sel))
-                    )
-            if kept:
-                held_cells += self.dp.num_sels << k
-                if held_cells > MAX_CELLS:
-                    held = [build(entry) for entry in held]
-                    held_cells = 0
+                    weights[b], held[b] = value, (f, C, sel)
             trials += 1
         if stats is not None:
             stats["trials"] = stats.get("trials", 0) + trials
+        last = (f, run)  # the one run the query holds; no family is empty
 
         def witness(b: int) -> Solution:
-            sol = build(held[b])
+            nonlocal last
+            if held[b] is None:
+                return empty
+            g, C, sel = held[b]
+            if g != last[0]:
+                last = (g, self._run(g, max(g)))  # deterministic: same tables
+            sol = last[1]._solution_at(C, sel)
+            sol = Solution(sol.vertices, sol.weight, None)
+            sol.validate(self.inst)  # independence in the full graph
             if len(sol.vertices) > b:
                 raise ValidationError("bounded MWIS witness exceeds its bound")
             return sol
@@ -558,13 +544,6 @@ def _vertex_family(
         return 0, iter(())
     # an answer holds at most n vertices
     return _colorings(n, c, c ** min(ell, n), spec)
-
-
-def _vertex_colorings(
-    inst: WeightedInstance, c: int, ell: int, spec: ColoringFamilySpec
-) -> Iterator[tuple[int, ...]]:
-    """The subgraph reduction's colorings, without the family's size."""
-    return _vertex_family(inst, c, ell, spec)[1]
 
 
 def mwccs_from_mwis(

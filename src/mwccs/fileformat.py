@@ -219,19 +219,23 @@ def parse_solution_text(text: str) -> tuple[Solution, dict]:
         line = raw.strip()
         if not line:
             continue
-        parts = line.split()
-        key = parts[0]
-        if key == "weight":
-            weight = int(parts[1])
-        elif key == "vertices":
-            vertices = [int(x) - 1 for x in parts[1:]]
-        elif key == "col":
-            saw_col = True
-            assignment[int(parts[1]) - 1] = int(parts[2])
-        elif key in ("mode", "seed", "trials", "elapsed_ms"):
-            meta[key] = parts[1] if key == "mode" else int(parts[1])
-        else:
-            raise ParseError(f"unknown solution field {key!r}", lineno)
+        key, *args = line.split()
+        try:
+            if key == "weight":
+                weight = int(args[0])
+            elif key == "vertices":
+                vertices = [int(x) - 1 for x in args]
+            elif key == "col":
+                saw_col = True
+                assignment[int(args[0]) - 1] = int(args[1])
+            elif key in ("mode", "seed", "trials", "elapsed_ms"):
+                meta[key] = args[0] if key == "mode" else int(args[0])
+            else:
+                raise ParseError(f"unknown solution field {key!r}", lineno)
+        except ParseError:
+            raise
+        except (IndexError, ValueError):
+            raise ParseError(f"malformed `{key}` line", lineno) from None
     if weight is None:
         raise ParseError("solution lacks a weight")
     sol = Solution(frozenset(vertices), weight, assignment if saw_col else None)

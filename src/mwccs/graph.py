@@ -442,14 +442,6 @@ def solution_sort_key(sol: Solution):
     return (-sol.weight, tuple(sorted(sol.vertices)), assign)
 
 
-def better_solution(a: Solution | None, b: Solution | None) -> Solution | None:
-    if a is None:
-        return b
-    if b is None:
-        return a
-    return a if solution_sort_key(a) <= solution_sort_key(b) else b
-
-
 @dataclass(frozen=True)
 class MulticoloredCliqueInstance:
     """A graph whose vertices are partitioned into independent color classes."""

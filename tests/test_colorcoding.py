@@ -20,7 +20,7 @@ from mwccs.colorcoding import (
     _cover_bound,
     _greedy_floor,
     _size_partitions,
-    _vertex_colorings,
+    _vertex_family,
     decomposition_parts,
     enumerate_size_partitions,
     mwccs_cluster_chordal,
@@ -38,7 +38,6 @@ from mwccs.graph import (
     SizeCapError,
     Solution,
     WeightedInstance,
-    better_solution,
     solution_sort_key,
 )
 from mwccs.oracle import brute_mwccs, brute_mwis
@@ -304,8 +303,9 @@ def test_exhaustive_inner_cluster_subsets_match_brute():
 
 
 def _eager_bounded_vector(engine, ell, family=None):
-    """Every run's witness at every bound, folded with better_solution: the
-    witnesses bounded_vector must build lazily.  The family defaults to the
+    """Every run's witness at every bound, folded so that the first run in
+    family order to reach the heaviest weight wins: the witnesses
+    bounded_vector must build lazily.  The family defaults to the
     k-subset family of a class past IDENTITY_COLOR_CAP clusters."""
     d = len(engine.clusters)
     best = [Solution(frozenset(), 0, None)] * (ell + 1)
@@ -315,7 +315,8 @@ def _eager_bounded_vector(engine, ell, family=None):
         vec = engine._run(f, max(f)).best_by_color_count(min(ell, max(f)))
         for b in range(ell + 1):
             cand = vec[min(b, len(vec) - 1)]
-            best[b] = better_solution(best[b], Solution(cand.vertices, cand.weight, None))
+            if cand.weight > best[b].weight:
+                best[b] = Solution(cand.vertices, cand.weight, None)
     return best
 
 
@@ -442,7 +443,7 @@ def _unpruned_walk(colorings, c, ell, class_vector):
 
 def _assert_matches_unpruned(got, stats, inst, c, ell, solver, spec):
     want, trials = _unpruned_walk(
-        _vertex_colorings(inst, c, ell, spec), c, ell, _class_vector_fn(inst, ell, solver)
+        _vertex_family(inst, c, ell, spec)[1], c, ell, _class_vector_fn(inst, ell, solver)
     )
     assert got.weight == want.weight
     assert got.vertices == want.vertices
@@ -556,7 +557,7 @@ def test_skipped_colorings_make_no_solver_calls():
     pruned_calls = len(calls)
     calls.clear()
     want, trials = _unpruned_walk(
-        _vertex_colorings(inst, 2, 3, EX), 2, 3, _class_vector_fn(inst, 3, counting_solver)
+        _vertex_family(inst, 2, 3, EX)[1], 2, 3, _class_vector_fn(inst, 3, counting_solver)
     )
     assert got.weight == want.weight and stats["trials"] == trials
     assert 0 < stats["skipped"] <= trials
@@ -621,11 +622,15 @@ def test_walk_stops_at_the_ceiling(monkeypatch):
 
 
 def test_witnesses_are_built_only_for_incumbents(monkeypatch):
-    from mwccs.dp import ColorfulRun
+    from mwccs.dp import ColorfulDP, ColorfulRun
 
     real_solution_at, real_assemble = ColorfulRun._solution_at, _assemble
+    real_solve = ColorfulDP.solve
+    real_bounded_vector = ClusterChordalEngine.bounded_vector
     built: list[int] = []  # witnesses built by the current _assemble call
     outside = []
+    solves = [0]
+    reruns = []  # DP runs each witness(b) call made
 
     def counted_solution_at(run, C, sel):
         if built:
@@ -641,13 +646,43 @@ def test_witnesses_are_built_only_for_incumbents(monkeypatch):
         finally:
             assert built.pop() <= len(bounds)
 
+    def counted_solve(dp, colors, c):
+        solves[0] += 1
+        return real_solve(dp, colors, c)
+
+    def counted_bounded_vector(engine, ell, spec, stats=None):
+        weights, witness = real_bounded_vector(engine, ell, spec, stats)
+
+        def counted_witness(b):
+            before = solves[0]
+            sol = witness(b)
+            reruns.append(solves[0] - before)
+            return sol
+
+        return weights, counted_witness
+
     monkeypatch.setattr(ColorfulRun, "_solution_at", counted_solution_at)
     monkeypatch.setattr(colorcoding, "_assemble", noted_assemble)
+    monkeypatch.setattr(ColorfulDP, "solve", counted_solve)
+    monkeypatch.setattr(ClusterChordalEngine, "bounded_vector", counted_bounded_vector)
     for i, (inst, c, ell) in enumerate(_tie_heavy_set()):
         for spec in (EX, ColoringFamilySpec(Mode.RANDOMIZED, epsilon=0.1, seed=i)):
             mwccs_cluster_chordal(inst, c, ell, spec)
-    # classes here have at most 12 clusters, so one inner run and no ties
+    # classes above have at most 12 clusters, so one inner run per query;
+    # these singleton-cluster classes run one DP per ell-subset, often tied
+    for n in range(13, 17):
+        rng = random.Random(n)
+        inst = _chordal_with_singletons(
+            WeightedInstance(
+                random_chordal(n, 3, n), tuple(rng.randint(0, 3) for _ in range(n))
+            )
+        )
+        for ell in range(2, 5):
+            for spec in (EX, ColoringFamilySpec(Mode.RANDOMIZED, epsilon=0.1, seed=n)):
+                mwccs_cluster_chordal(inst, 1, ell, spec)
     assert outside == []
+    # a witness reruns at most its winning coloring, and some do
+    assert max(reruns) == 1
 
 
 def test_cache_hit_rebuilds_an_unbuilt_witness():
@@ -671,8 +706,8 @@ def test_cache_hit_rebuilds_an_unbuilt_witness():
 
 
 def test_randomized_inner_witnesses_past_the_held_cell_budget(monkeypatch):
-    # a cell budget of one run sends the query to the randomized family and
-    # makes it build the witnesses it holds whenever it keeps a second run
+    # a cell budget of one run sends the query to the randomized family, whose
+    # witnesses come from the first winning draw at each bound
     spec = ColoringFamilySpec(Mode.RANDOMIZED, epsilon=0.01, seed=2)
     for n in (13, 14):
         rng = random.Random(n)

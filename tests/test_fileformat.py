@@ -151,6 +151,21 @@ def test_round_trip_solutions():
     assert back.vertices == frozenset() and back.color_assignment is None
 
 
+@pytest.mark.parametrize(
+    "text, line",
+    [
+        ("weight\n", 1),
+        ("weight 3\ncol 1\n", 2),
+        ("weight 3\ntrials\n", 2),
+        ("weight 3\nvertices 1 x\n", 2),
+    ],
+)
+def test_malformed_solution_lines_raise_parse_errors(text, line):
+    with pytest.raises(ParseError) as err:
+        parse_solution_text(text)
+    assert err.value.line == line
+
+
 def test_elapsed_only_on_request():
     sol = Solution(frozenset(), 0, None)
     assert "elapsed_ms" not in solution_to_text(sol, "m", 0, 1)
