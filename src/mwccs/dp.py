@@ -13,6 +13,13 @@ splits of the colors outside colors(S), batched over the selections of a
 bag; past 12 free colors the splits of the remaining colors run as an outer
 loop over the 3^12 pair table.
 
+A solve computes maxima only.  The run keeps every bag's table, and
+reconstruction finds the argmax of each bag on the witness path alone: the
+first maximal member of a single-child group, the smallest maximal sub mask
+of a join.  Those tables are exactly the cells MAX_CELLS counts, and the
+joins' 3^(c-|colors(S)|) pairs are summed against MAX_JOIN_PAIRS; both caps
+refuse a solve before any table is made.
+
 Weights use int64 arrays with a large negative sentinel for infeasible
 entries; instance construction bounds total weight so sums never wrap.
 """
@@ -38,7 +45,10 @@ from .treedecomp import TreeDecomposition, normalize_binary, verify_tree_decompo
 NEG = -(2**61)
 FEAS_MIN = -(2**60)
 MAX_COLORS = 30
-MAX_CELLS = 1 << 27  # table entries of one solve, summed over every bag's selections
+# table entries of one solve, summed over every bag's selections; a run holds
+# them all, so this also bounds its memory (1 GiB of int64 at the cap)
+MAX_CELLS = 1 << 27
+MAX_JOIN_PAIRS = 1 << 30  # (color set, sub mask) pairs split by one solve's joins
 _PAIR_TABLE_MAX_C = 12  # join pair arrays up to 3^12 rows; more free colors loop outside
 _JOIN_BLOCK = 1 << 20  # pair cells per batch of join rows, which bounds the temporaries
 
@@ -47,8 +57,7 @@ _JOIN_BLOCK = 1 << 20  # pair cells per batch of join rows, which bounds the tem
 def _pair_table(c: int):
     """All (C, C_sub) pairs with C_sub subset of C, flat and grouped by C.
 
-    Exactly 3^c rows; within a C segment submasks ascend, so first-argmax
-    tie-breaking is deterministic.
+    Exactly 3^c rows; within a C segment submasks ascend.
     """
     nc = 1 << c
     full: list[int] = []
@@ -104,8 +113,7 @@ def _supersets(c: int, m: int) -> np.ndarray:
 
 
 def _high_splits(h: int):
-    """(sub part, other part) for every disjoint split of h colors, sub part
-    ascending, so that a strict maximum keeps the smallest sub mask."""
+    """(sub part, other part) for every disjoint split of h colors."""
     full = (1 << h) - 1
     for hs in range(1 << h):
         rest = full & ~hs
@@ -122,13 +130,11 @@ def _join_rows(a_rows, b_rows, masks, ws, c: int):
 
     a_rows and b_rows hold the children's rows (one per selection), masks
     the selections' color masks and ws their weights.  Each row is gathered
-    onto its free colors and split over their pair table; the first maximum
-    in ascending submask order wins.  Returns the table rows and, per row
-    and color set, the real sub mask given to the first child.
+    onto its free colors and split over their pair table.
     """
     free = c - masks[0].bit_count()
     low = min(free, _PAIR_TABLE_MAX_C)
-    full_f, sub_f, other_f, starts, counts = _pair_table(low)
+    full_f, sub_f, other_f, starts, _ = _pair_table(low)
     sups = [_supersets(c, m) for m in masks]
     af = np.array([row[sup] for row, sup in zip(a_rows, sups)])
     bf = np.array([row[sup] for row, sup in zip(b_rows, sups)])
@@ -138,36 +144,22 @@ def _join_rows(a_rows, b_rows, masks, ws, c: int):
         np.count_nonzero(af > FEAS_MIN) + np.count_nonzero(bf > FEAS_MIN)
     )
     width = 1 << low
-    rank = np.arange(full_f.size, 0, -1)  # a segment's first hit ranks highest
-    best = np.empty_like(af)
-    arg = np.empty_like(af)
+    best = np.full_like(af, NEG)
     for hs, ho in _high_splits(free - low):
         vals = np.take(af[:, hs * width : (hs + 1) * width], sub_f, axis=1)
         vals += np.take(bf[:, ho * width : (ho + 1) * width], other_f, axis=1)
-        seg = np.maximum.reduceat(vals, starts, axis=1)
-        hit = np.where(vals == np.repeat(seg, counts, axis=1), rank, 0)
-        subs = hs * width + sub_f[full_f.size - np.maximum.reduceat(hit, starts, axis=1)]
-        blk = slice((hs | ho) * width, ((hs | ho) + 1) * width)
-        if hs == 0:
-            best[:, blk] = seg
-            arg[:, blk] = subs
-        else:
-            better = seg > best[:, blk]
-            best[:, blk][better] = seg[better]
-            arg[:, blk][better] = subs[better]
+        blk = best[:, (hs | ho) * width : ((hs | ho) + 1) * width]
+        np.maximum(blk, np.maximum.reduceat(vals, starts, axis=1), out=blk)
     out = np.full((len(masks), 1 << c), NEG, dtype=np.int64)
-    bp = np.zeros((len(masks), 1 << c), dtype=np.int64)
     for r, sup in enumerate(sups):
         out[r, sup] = best[r] - ws[r]
-        bp[r, sup] = sup[arg[r]]
-    return out, bp
+    return out
 
 
 def _join_bag(avals, bvals, meta, c: int):
-    """Tables and backpointers of a join bag from its two children's tables;
-    meta holds (color mask, colorful, weight) per selection."""
+    """Tables of a join bag from its two children's tables; meta holds
+    (color mask, colorful, weight) per selection."""
     arrs: list[np.ndarray] = [np.full(1 << c, NEG, dtype=np.int64)] * len(meta)
-    bps: list[np.ndarray | None] = [None] * len(meta)
     by_count: dict[int, list[int]] = {}
     for i, (mask, colorful, _) in enumerate(meta):
         if colorful:
@@ -176,7 +168,7 @@ def _join_bag(avals, bvals, meta, c: int):
         step = max(1, _JOIN_BLOCK // 3 ** min(c - count, _PAIR_TABLE_MAX_C))
         for lo in range(0, len(rows), step):
             chunk = rows[lo : lo + step]
-            out, bp = _join_rows(
+            out = _join_rows(
                 [avals[i] for i in chunk],
                 [bvals[i] for i in chunk],
                 [meta[i][0] for i in chunk],
@@ -185,8 +177,7 @@ def _join_bag(avals, bvals, meta, c: int):
             )
             for r, i in enumerate(chunk):
                 arrs[i] = out[r]
-                bps[i] = bp[r]
-    return arrs, bps
+    return arrs
 
 
 class ColorfulDP:
@@ -211,9 +202,10 @@ class ColorfulDP:
 
         self.sels: list[list[frozenset[int]]] = []
         for bag in td.bags:
-            lst = [frozenset()]
             verts = sorted(bag)
-            for size in range(1, alpha + 1):
+            # a single vertex is independent, since graphs have no self-loops
+            lst = [frozenset()] + [frozenset((v,)) for v in verts]
+            for size in range(2, alpha + 1):
                 for comb in itertools.combinations(verts, size):
                     if is_independent(g, comb):
                         lst.append(frozenset(comb))
@@ -263,9 +255,7 @@ class ColorfulDP:
         call = np.arange(nc, dtype=np.int64)
 
         td = self.td
-        values: list[list[np.ndarray] | None] = [None] * len(td)
-        bp_join: dict[int, list[np.ndarray | None]] = {}
-        bp_single: dict[int, dict] = {}
+        values: list[list[np.ndarray]] = [[] for _ in td.bags]
 
         def sel_colmask(s: frozenset[int]) -> int:
             mask = 0
@@ -280,6 +270,17 @@ class ColorfulDP:
                 mask = sel_colmask(s)
                 meta.append((mask, mask.bit_count() == len(s), sum(w[v] for v in s)))
             sel_meta.append(meta)
+        pairs = sum(
+            3 ** (c - mask.bit_count())
+            for x in self.join_children
+            for mask, colorful, _ in sel_meta[x]
+            if colorful
+        )
+        if pairs > MAX_JOIN_PAIRS:
+            raise SizeCapError(
+                f"colorful DP joins need {pairs} subset pairs "
+                f"(3^(free colors) per colorful join row); cap is {MAX_JOIN_PAIRS}"
+            )
 
         for x in self.order:
             kids = td.children[x]
@@ -294,12 +295,10 @@ class ColorfulDP:
                 y = kids[0]
                 info = self.single_link[x]
                 child_vals = values[y]
-                gmax: dict[frozenset[int], np.ndarray] = {}
-                garg: dict[frozenset[int], tuple[np.ndarray, list[int]]] = {}
-                for key, members in info["groups"].items():
-                    stack = np.stack([child_vals[j] for j in members])
-                    gmax[key] = stack.max(axis=0)
-                    garg[key] = (stack.argmax(axis=0).astype(np.int32), members)
+                gmax = {
+                    key: np.maximum.reduce([child_vals[j] for j in members])
+                    for key, members in info["groups"].items()
+                }
                 for i, s in enumerate(self.sels[x]):
                     mask, colorful, ws = sel_meta[x][i]
                     if not colorful:
@@ -313,31 +312,25 @@ class ColorfulDP:
                         extra += w[v]
                     base = gmax[sstar][call & ~dmask] + extra
                     arrs.append(np.where((call & mask) == mask, base, NEG))
-                bp_single[x] = garg
-                values[y] = None
             else:
                 y, z = self.join_children[x]
-                arrs, bp_join[x] = _join_bag(values[y], values[z], sel_meta[x], c)
-                values[y] = None
-                values[z] = None
+                arrs = _join_bag(values[y], values[z], sel_meta[x], c)
             values[x] = arrs
 
-        return ColorfulRun(
-            self, colors, c, tuple(cmask), values[td.root], bp_join, bp_single
-        )
+        return ColorfulRun(self, colors, c, tuple(cmask), values)
 
 
 class ColorfulRun:
-    """Finished DP run: root table plus the backpointers for reconstruction."""
+    """Finished DP run: every bag's table, from which reconstruction finds
+    the argmax of each bag on the witness path."""
 
-    def __init__(self, engine, colors, c, cmask, root_vals, bp_join, bp_single):
+    def __init__(self, engine, colors, c, cmask, values):
         self.engine = engine
         self.colors = colors
         self.c = c
         self.cmask = cmask
-        self.root_vals = root_vals
-        self.bp_join = bp_join
-        self.bp_single = bp_single
+        self.values = values
+        self.root_vals = values[engine.td.root]
 
     def _reconstruct(self, start_c: int, start_sel: int) -> frozenset[int]:
         eng = self.engine
@@ -358,15 +351,22 @@ class ColorfulRun:
                 for v in moved:
                     dmask |= self.cmask[v]
                 cprime = C & ~dmask
-                arg, members = self.bp_single[x][sstar]
-                j = members[int(arg[cprime])]
+                child = self.values[y]
+                members = eng.single_link[x]["groups"][sstar]
+                # max keeps the first member with the maximum
+                j = max(members, key=lambda k: child[k][cprime])
                 stack.append((y, cprime, j))
             else:
                 y, z = eng.join_children[x]
                 smask = 0
                 for v in s:
                     smask |= self.cmask[v]
-                sub = int(self.bp_join[x][i][C])
+                # the smallest sub mask with smask <= sub <= C and the
+                # maximum: the candidates ascend and argmax keeps the first
+                sup = _supersets(self.c, smask)
+                subs = sup[(sup & ~C) == 0]
+                split = self.values[y][i][subs] + self.values[z][i][(C & ~subs) | smask]
+                sub = int(subs[np.argmax(split)])
                 stack.append((y, sub, i))
                 stack.append((z, (C & ~sub) | smask, i))
         return frozenset(chosen)

@@ -1,5 +1,6 @@
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -157,6 +158,21 @@ def test_solve_colorful_refuses_color_30(tmp_path, capsys):
     write_instance(inst, path)
     code, out, err = run_cli(["solve", "colorful", str(path)], capsys)
     assert code == 3 and out == "" and err.startswith("size cap:")
+
+
+def test_solve_colorful_prices_the_join_pairs(tmp_path, capsys):
+    # five vertices and 20 colors are far inside the cell cap, but the
+    # binary clique tree's joins would split about 1.2e10 (color set, sub
+    # mask) pairs, minutes of work, so the solve is refused up front
+    g = Graph(5, [(0, 1), (0, 2), (3, 4), (3, 0)])
+    inst = WeightedInstance(g, (1, 2, 3, 4, 5), colors=(20, 9, 12, 17, 1))
+    path = tmp_path / "c20.iki"
+    write_instance(inst, path)
+    started = time.perf_counter()
+    code, out, err = run_cli(["solve", "colorful", str(path)], capsys)
+    assert time.perf_counter() - started < 1.0
+    assert code == 3 and out == ""
+    assert err.startswith("size cap: colorful DP joins need 11622614670 subset pairs")
 
 
 def test_solve_rejects_non_chordal(tmp_path, capsys):

@@ -244,24 +244,36 @@ def test_thirteen_colors_match_oracle():
     assert joins >= 3
 
 
-def _witness_digest(seeds):
-    """Digest of the witnesses of best_full and best_by_color_count on 0/1
-    weights, where nearly every optimum is tied."""
+def _runs_digest(runs):
+    """Digest of the witnesses of best_full and best_by_color_count of each
+    (run, c) pair."""
     h = hashlib.sha256()
-    for seed in seeds:
-        rng = random.Random(seed)
-        n = rng.randint(1, 14)
-        c = rng.randint(1, 8)
-        g = random_chordal(n, rng.randint(2, 5), seed)
-        inst = WeightedInstance(g, tuple(rng.randint(0, 1) for _ in range(n)))
-        colors = [rng.randint(1, c) for _ in range(n)]
-        run = ColorfulDP(inst, _clique_tree(g), 1).solve(colors, c)
+    for run, c in runs:
         sols = [run.best_full()] + run.best_by_color_count(c)
         h.update(repr([sorted(s.vertices) for s in sols]).encode())
     return h.hexdigest()
 
 
+def _witness_digest(seeds):
+    """Digest of the witnesses on 0/1 weights, where nearly every optimum is
+    tied."""
+
+    def runs():
+        for seed in seeds:
+            rng = random.Random(seed)
+            n = rng.randint(1, 14)
+            c = rng.randint(1, 8)
+            g = random_chordal(n, rng.randint(2, 5), seed)
+            inst = WeightedInstance(g, tuple(rng.randint(0, 1) for _ in range(n)))
+            colors = [rng.randint(1, c) for _ in range(n)]
+            yield ColorfulDP(inst, _clique_tree(g), 1).solve(colors, c), c
+
+    return _runs_digest(runs())
+
+
 _PINNED_WITNESSES = "bba6dcd1746c79522bedbbcc4436c87a80adc964216dd9e1f3eedb278dca2812"
+_PINNED_THIRTEEN = "f3f6aaa7b59e7fd94fb55698aaa3f9dea3291a3f0609dc12a2a10d81d439d8de"
+_PINNED_ALPHA_TWO = "b847aa2f1355cc1afdf04ccd50e1740bb2e89bd9bfff0fc8e17dfb4126a3a5f4"
 
 
 def test_tied_witnesses_are_pinned(monkeypatch):
@@ -272,6 +284,42 @@ def test_tied_witnesses_are_pinned(monkeypatch):
 
     monkeypatch.setattr(dp_mod, "_PAIR_TABLE_MAX_C", 2)
     assert _witness_digest(range(300)) == _PINNED_WITNESSES
+
+
+def test_tied_witnesses_at_thirteen_colors_are_pinned():
+    # recorded with a backpointer stored for every table cell; c = 13 leaves
+    # the empty selection 13 free colors, so its join rows run the splits of
+    # the color past the 3^12 pair table, and 0/1 weights tie
+    joins = 0
+    runs = []
+    for seed in range(12):
+        rng = random.Random(seed)
+        g = random_chordal(14, 3, seed)
+        inst = WeightedInstance(g, tuple(rng.randint(0, 1) for _ in range(14)))
+        colors = [rng.randint(1, 13) for _ in range(14)]
+        engine = ColorfulDP(inst, _clique_tree(g), 1)
+        joins += len(engine.join_children)
+        runs.append((engine.solve(colors, 13), 13))
+    assert joins >= 10
+    assert _runs_digest(runs) == _PINNED_THIRTEEN
+
+
+def test_tied_witnesses_at_alpha_two_are_pinned():
+    # recorded with a backpointer stored for every table cell; two-vertex
+    # selections make single-child groups of several members
+    runs = []
+    for seed in range(80):
+        sparser, td, rng = _alpha_two_case(seed)
+        if not verify_tree_decomposition(sparser, td) or bag_alpha(sparser, td) != 2:
+            continue
+        c = rng.randint(1, 4)
+        inst = WeightedInstance(
+            sparser, tuple(rng.randint(0, 1) for _ in range(sparser.n))
+        )
+        colors = [rng.randint(1, c) for _ in range(sparser.n)]
+        runs.append((ColorfulDP(inst, td, 2).solve(colors, c), c))
+    assert len(runs) >= 20
+    assert _runs_digest(runs) == _PINNED_ALPHA_TWO
 
 
 def test_one_bag_of_1100_vertices():
