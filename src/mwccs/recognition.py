@@ -73,8 +73,11 @@ def verify_peo(g: Graph, order) -> bool:
 
     O(n+m) (Tarjan and Yannakakis, SIAM J. Comput. 1984): it suffices that
     each vertex's later neighbors other than the earliest, p, are adjacent
-    to p.
+    to p.  The ordering ``is_chordal`` last verified on g passes at once.
     """
+    order = tuple(order)
+    if order == g._peo:
+        return True
     order, pos = _check_permutation(g, order)
     adj = g.adj
     earlier: set[int] = set()
@@ -92,7 +95,10 @@ def verify_peo(g: Graph, order) -> bool:
 def is_chordal(g: Graph) -> Ordering | None:
     """A perfect elimination ordering if g is chordal, else None."""
     order = tuple(reversed(maximum_cardinality_search(g)))
-    return order if verify_peo(g, order) else None
+    if not verify_peo(g, order):
+        return None
+    g._peo = order
+    return order
 
 
 def find_hole(g: Graph) -> tuple[int, ...] | None:

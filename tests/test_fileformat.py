@@ -1,5 +1,8 @@
+import random
+
 import pytest
 
+from mwccs import fileformat
 from mwccs.fileformat import (
     ParseError,
     instance_to_text,
@@ -15,7 +18,7 @@ from mwccs.generators import (
     random_cluster_chordal_instance,
     random_weights,
 )
-from mwccs.graph import Solution, WeightedInstance
+from mwccs.graph import Graph, Solution, WeightedInstance
 
 
 def test_header_only():
@@ -67,6 +70,17 @@ def test_parse_errors_carry_line_numbers():
         ("e 1 2\np iki 3 1\n", 1, "header must come first"),
         ("p iki 3 1\nc\te 1 2\n", 2, "unknown line kind 'c'"),
         ("p iki 3 2\ne 1 2 C\ne 2 3\n", None, "either all edges carry a C/H tag or none does"),
+        # canonical-looking files with a fault leave the bulk path for the loop
+        ("p iki 3 2\ne 1 2\ne 2 1\n", 3, "duplicate edge 2 1"),
+        ("p iki 3 2\ne 1 2\ne 1 2\n", 3, "duplicate edge 1 2"),
+        ("p iki 3 2\nw 1 5\nw 2 1\nw 3 1\ne 1 2\ne 3 3\n", 6, "self-loop"),
+        ("p iki 3 2\ne 1 2\ne 0 3\n", 3, "vertex 0 out of range"),
+        ("p iki 3 2\ne 1 2\ne 2 4\n", 3, "vertex 4 out of range"),
+        ("p iki 3 2\ne 1 2\n", None, "header declares 2 edges, found 1"),
+        ("p iki 3 1\ne 1 2\ne 2 3\n", None, "header declares 1 edges, found 2"),
+        ("p iki 3 1\nw 1 2\nw 1 3\ne 1 2\n", 3, "duplicate `w` line for vertex 1"),
+        ("p iki 3 1\nw 4 2\ne 1 2\n", 2, "vertex 4 out of range"),
+        ("p iki 3 1\ne 1 12345678901234567890\n", 2, "vertex 12345678901234567890 out of range"),
     ],
 )
 def test_edge_line_errors_keep_messages(text, line, message):
@@ -74,6 +88,42 @@ def test_edge_line_errors_keep_messages(text, line, message):
         parse_instance_text(text)
     assert err.value.line == line
     assert str(err.value) == (f"line {line}: {message}" if line else message)
+
+
+def _generator_instances():
+    for seed in range(12):
+        rng = random.Random(seed)
+        n = rng.randint(1, 40)
+        g = random_chordal(n, 6, seed)
+        yield WeightedInstance.unit(g)
+        yield random_weights(WeightedInstance.unit(g), 9, seed)
+        yield random_cluster_chordal_instance(n, 3, 4, 9, seed)
+        # an interval graph, edges drawn in no particular order
+        ivs = [(a, a + rng.uniform(0.05, 0.4)) for a in (rng.random() for _ in range(n))]
+        edges = [
+            (u, v) for u in range(n) for v in range(n)
+            if u < v and ivs[u][0] <= ivs[v][1] and ivs[v][0] <= ivs[u][1]
+        ]
+        rng.shuffle(edges)
+        yield random_weights(WeightedInstance.unit(Graph(n, edges)), 50, seed)
+
+
+def test_canonical_text_parses_like_the_line_loop():
+    cases = [(instance_to_text(inst), inst) for inst in _generator_instances()]
+    # accepted but not canonical: unsorted edges, a leading zero, w out of order
+    cases += [
+        ("p iki 3 2\ne 2 3\ne 1 2\n", None),
+        ("p iki 3 1\ne 01 2\n", None),
+        ("p iki 3 1\nw 2 7\nw 1 4\ne 1 2\n", None),
+    ]
+    for text, inst in cases:
+        bulk = parse_instance_text(text)
+        # a comment line is not canonical, so the line loop parses this copy
+        loop = parse_instance_text("c note\n" + text)
+        assert bulk == loop
+        assert [list(s) for s in bulk.graph.adj] == [list(s) for s in loop.graph.adj]
+        if inst is not None and not inst.has_decomposition:
+            assert bulk == inst and fileformat._parse_canonical(text) is not None
 
 
 def test_comments_and_spacing():

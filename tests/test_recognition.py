@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from mwccs import recognition
 from mwccs.dp import max_weight_is_chordal
 from mwccs.graph import Graph, SizeCapError, WeightedInstance
 from mwccs.oracle import brute_find_hole, brute_hamiltonian_cycle
@@ -49,6 +50,23 @@ def test_mcs_and_peo_basics():
     assert verify_peo(path_graph(3), (0, 2, 1))
     with pytest.raises(ValueError):
         verify_peo(k3, (0, 1))
+
+
+def test_peo_memo_leaves_other_orderings_to_the_full_check(monkeypatch):
+    full = []
+    check = recognition._check_permutation
+    monkeypatch.setattr(
+        recognition, "_check_permutation", lambda g, o: full.append(o) or check(g, o)
+    )
+    g = path_graph(5)
+    peo = is_chordal(g)
+    del full[:]
+    assert verify_peo(g, iter(peo)) and full == []
+    other = (0, 1, 2, 3, 4) if peo != (0, 1, 2, 3, 4) else (4, 3, 2, 1, 0)
+    assert verify_peo(g, other) and len(full) == 1
+    assert not verify_peo(g, (2, 0, 1, 3, 4)) and len(full) == 2
+    with pytest.raises(ValueError):
+        verify_peo(g, (0, 1, 2, 3))
 
 
 def test_is_chordal():
