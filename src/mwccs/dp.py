@@ -253,6 +253,15 @@ class ColorfulDP:
             )
         cmask = [(1 << col) >> 1 for col in colors]
         call = np.arange(nc, dtype=np.int64)
+        neg = np.full(nc, NEG, dtype=np.int64)  # every non-colorful row
+        neg.flags.writeable = False
+        holding: dict[int, np.ndarray] = {}  # color mask -> C holds it
+
+        def holds(mask: int) -> np.ndarray:
+            hit = holding.get(mask)
+            if hit is None:
+                hit = holding[mask] = (call & mask) == mask
+            return hit
 
         td = self.td
         values: list[list[np.ndarray]] = [[] for _ in td.bags]
@@ -287,31 +296,35 @@ class ColorfulDP:
             arrs: list[np.ndarray] = []
             if not kids:
                 for mask, colorful, ws in sel_meta[x]:
-                    if colorful:
-                        arrs.append(np.where((call & mask) == mask, ws, NEG))
-                    else:
-                        arrs.append(np.full(nc, NEG, dtype=np.int64))
+                    arrs.append(np.where(holds(mask), ws, NEG) if colorful else neg)
             elif len(kids) == 1:
                 y = kids[0]
                 info = self.single_link[x]
                 child_vals = values[y]
                 gmax = {
-                    key: np.maximum.reduce([child_vals[j] for j in members])
+                    key: child_vals[members[0]] if len(members) == 1
+                    else np.maximum.reduce([child_vals[j] for j in members])
                     for key, members in info["groups"].items()
                 }
                 for i, s in enumerate(self.sels[x]):
                     mask, colorful, ws = sel_meta[x][i]
                     if not colorful:
-                        arrs.append(np.full(nc, NEG, dtype=np.int64))
+                        arrs.append(neg)
                         continue
                     sstar, moved = info["link"][i]
+                    if not moved:
+                        # every row is exactly NEG wherever C misses its
+                        # selection's colors, and each member of group sstar
+                        # holds the colors of sstar = s: no np.where needed
+                        arrs.append(gmax[sstar])
+                        continue
                     dmask = 0
                     extra = 0
                     for v in moved:
                         dmask |= cmask[v]
                         extra += w[v]
                     base = gmax[sstar][call & ~dmask] + extra
-                    arrs.append(np.where((call & mask) == mask, base, NEG))
+                    arrs.append(np.where(holds(mask), base, NEG))
             else:
                 y, z = self.join_children[x]
                 arrs = _join_bag(values[y], values[z], sel_meta[x], c)

@@ -16,8 +16,10 @@ form: sorted vertices and edges, trailing newline, fully deterministic.
 
 An untagged instance in canonical form (the header, ascending ``w`` lines,
 then ``e u v`` lines ascending with u < v; single spaces, plain ASCII ids,
-LF ends) is parsed in bulk.  Every other text, faulty ones included, takes
-the line loop, which reports each fault with its line.
+LF ends) is parsed in bulk: its lines are scanned as bytes with numpy and
+the adjacency is built from the checked id arrays.  Every other text,
+faulty ones included, takes the line loop, which reports each fault with
+its line.
 """
 
 from __future__ import annotations
@@ -36,18 +38,78 @@ class ParseError(ValueError):
         self.line = line
 
 
-# One line each of the canonical untagged form; ids and weights of at most 18
-# digits fit int64.  subn checks a block in flat memory: a fullmatch over a
-# repeated group keeps a backtracking stack (4.3 MB more peak RSS on 24k
-# edges), and possessive repeats need Python 3.11.
+# The header of the canonical untagged form; ids and weights of at most 18
+# digits fit int64.
 _HEADER = re.compile(r"p iki ([0-9]{1,18}) ([0-9]{1,18})\n")
-_W_LINE = re.compile(r"w [1-9][0-9]{0,17} [0-9]{1,18}\n")
-_E_LINE = re.compile(r"e [1-9][0-9]{0,17} [1-9][0-9]{0,17}\n")
+_PLACES = 10 ** np.arange(18, dtype=np.int64)
 
 
-def _columns(block: str, kind: str):
-    a = np.fromstring(block.replace(kind, ""), dtype=np.int64, sep=" ")
-    return a[0::2], a[1::2]
+def _digits(digits, end, width):
+    """The numbers of width 1..18 digits without a leading zero ending before
+    the offsets end, or None if any is malformed."""
+    if (width < 1).any() or (width > 18).any() or (
+        (digits[end - width] == 0) & (width > 1)
+    ).any():
+        return None
+    out = np.zeros(end.size, dtype=np.int64)
+    for k in range(int(width.max(initial=0))):
+        # end - 1 - k may reach before the buffer for a number narrower than
+        # k + 1; the index wraps (the widest number bounds how far) and is
+        # masked out
+        out += np.where(width > k, digits[end - 1 - k], 0) * _PLACES[k]
+    return out
+
+
+def _scan_lines(body: str):
+    """(kind bytes, first numbers, second numbers) of body's lines if each
+    is `<kind> <a> <b>` with a one-byte kind, single spaces, numbers as in
+    _digits and an LF end; else None."""
+    if not body.isascii():
+        return None
+    buf = np.frombuffer(body.encode("ascii"), dtype=np.uint8)
+    ends = np.flatnonzero(buf == 10)
+    lines = ends.size
+    if buf.size and buf[-1] != 10:
+        return None
+    starts = np.append(0, ends + 1)[:-1]
+    spaces = np.flatnonzero(buf == 32)
+    digits = buf - 48  # wraps: every non-digit byte is 10 or more
+    # with first == starts + 1 and each second strictly inside its line, the
+    # 2 * lines spaces are exactly two per line; the kind bytes, spaces and
+    # LFs take 4 * lines bytes, so the digit count leaves none for anything
+    # else
+    if spaces.size != 2 * lines or np.count_nonzero(digits < 10) != buf.size - 4 * lines:
+        return None
+    first, second = spaces[0::2], spaces[1::2]
+    if (first != starts + 1).any():
+        return None
+    a = _digits(digits, second, second - first - 1)
+    b = _digits(digits, ends, ends - second - 1)
+    if a is None or b is None:
+        return None
+    return buf[starts], a, b
+
+
+def _adjacency(n: int, u, v) -> tuple[frozenset[int], ...]:
+    """Neighbour sets of the 0-based edges (u, v), strictly ascending with
+    u < v.  Each set gets its lower neighbours, then its upper ones, both
+    ascending: the insertion order of Graph(n, sorted edges), so every set
+    iterates alike."""
+    order = np.argsort(v, kind="stable")
+    lower, upper = u[order].tolist(), v.tolist()
+    lo = np.concatenate(([0], np.cumsum(np.bincount(v, minlength=n)))).tolist()
+    hi = np.concatenate(([0], np.cumsum(np.bincount(u, minlength=n)))).tolist()
+    return tuple(
+        frozenset(set(lower[a:b] + upper[c:d]))
+        for a, b, c, d in zip(lo, lo[1:], hi, hi[1:])
+    )
+
+
+def _instance(graph: Graph, weights: tuple[int, ...], **kw) -> WeightedInstance:
+    try:
+        return WeightedInstance(graph, weights, **kw)
+    except ValueError as exc:  # the file's total weight is over the bound
+        raise ParseError(str(exc)) from None
 
 
 def _parse_canonical(text: str) -> WeightedInstance | None:
@@ -56,23 +118,24 @@ def _parse_canonical(text: str) -> WeightedInstance | None:
     if head is None:
         return None
     n, m = int(head[1]), int(head[2])
-    # the edge block starts at the first `e` line, if any
-    cut = text.find("\ne ", head.end() - 1) + 1 or len(text)
-    wblock, eblock = text[head.end():cut], text[cut:]
-    e_rest, k = _E_LINE.subn("", eblock)
-    if k != m or e_rest or _W_LINE.sub("", wblock):
+    lines = _scan_lines(text[head.end():])
+    if lines is None:
         return None
-    ids, vals = _columns(wblock, "w")
-    u, v = _columns(eblock, "e")
+    kinds, a, b = lines
+    nw = kinds.size - m  # the last m lines are the edges
+    if nw < 0 or (kinds[:nw] != ord("w")).any() or (kinds[nw:] != ord("e")).any():
+        return None
+    ids, vals, u, v = a[:nw], b[:nw], a[nw:], b[nw:]
     # strictly ascending pairs with u < v: no self-loop or duplicate, and the
     # order of the line loop's sorted(edges)
     ascending = (u[:-1] < u[1:]) | ((u[:-1] == u[1:]) & (v[:-1] < v[1:]))
-    checks = (ids <= n, ids[:-1] < ids[1:], u < v, v <= n, ascending)
+    checks = (ids >= 1, ids <= n, ids[:-1] < ids[1:], u >= 1, u < v, v <= n, ascending)
     if not all(c.all() for c in checks):
         return None
-    graph = Graph(n, zip((u - 1).tolist(), (v - 1).tolist()))
-    weights = dict(zip(ids.tolist(), vals.tolist()))
-    return WeightedInstance(graph, tuple(weights.get(x, 1) for x in range(1, n + 1)))
+    weights = np.ones(n, dtype=np.int64)
+    weights[ids - 1] = vals
+    graph = Graph._adopt(n, _adjacency(n, u - 1, v - 1))
+    return _instance(graph, tuple(weights.tolist()))
 
 
 def parse_instance_text(text: str) -> WeightedInstance:
@@ -173,7 +236,7 @@ def parse_instance_text(text: str) -> WeightedInstance:
     if clusters and len(clusters) != n:
         raise ParseError("cl lines must cover every vertex or none")
 
-    inst = WeightedInstance(
+    inst = _instance(
         Graph(n, sorted(edges)),
         tuple(weights.get(v, 1) for v in range(n)),
         colors=tuple(colors[v] for v in range(n)) if colors else None,

@@ -88,6 +88,14 @@ class Graph:
         self._mask: tuple[int, ...] | None = None
         self._peo: tuple[int, ...] | None = None
 
+    @classmethod
+    def _adopt(cls, n: int, adj: tuple[frozenset[int], ...]) -> "Graph":
+        """A graph over adj, whose symmetry, range and lack of self-loops
+        the caller has checked; the bulk parse builds it this way."""
+        g = cls.__new__(cls)
+        g.n, g.adj, g._mask, g._peo = n, adj, None, None
+        return g
+
     @property
     def mask(self) -> tuple[int, ...]:
         """Each vertex's neighbours as an int bitmask."""

@@ -201,6 +201,17 @@ def test_exit_codes(tmp_path, capsys):
     assert code == 3
 
 
+def test_overweight_file_is_a_parse_error(tmp_path, capsys):
+    # the file, not an argument, is at fault: exit 65 on both parse paths
+    text = "p iki 2 1\nw 1 9999999999999999\nw 2 9999999999999999\ne 1 2\n"
+    for name, body in (("canonical", text), ("commented", "c note\n" + text)):
+        path = tmp_path / f"{name}.iki"
+        path.write_text(body)
+        code, out, err = run_cli(["solve", "mwis", str(path)], capsys)
+        assert code == 65 and out == ""
+        assert err == "parse error: total weight exceeds the supported accumulator range\n"
+
+
 def test_unexpected_exception_is_internal_error(tmp_path, capsys, monkeypatch):
     from mwccs import dp
 

@@ -126,6 +126,74 @@ def test_canonical_text_parses_like_the_line_loop():
             assert bulk == inst and fileformat._parse_canonical(text) is not None
 
 
+def _parity(text):
+    """Parse text and the same text under a leading comment, which the line
+    loop takes; both must give one instance or one error a line apart."""
+    results = []
+    for body in (text, "c x\n" + text):
+        try:
+            inst = parse_instance_text(body)
+            results.append((inst, [list(s) for s in inst.graph.adj]))
+        except ParseError as err:
+            message = str(err).split(": ", 1)[-1] if err.line else str(err)
+            results.append((message, err.line))
+    (first, a), (second, b) = results
+    if isinstance(first, str) or isinstance(second, str):
+        assert first == second
+        assert (a, b) == (None, None) or (a is not None and a + 1 == b), text
+    else:
+        assert first == second and a == b, text
+    return results[0]
+
+
+@pytest.mark.parametrize(
+    "text, bulk",
+    [
+        ("p iki 3 2\r\ne 1 2\r\ne 2 3\r\n", False),  # CRLF
+        ("p iki 3 2\ne 1\t2\ne 2 3\n", False),  # a tab
+        ("p iki 3 2\ne 1  2\ne 2 3\n", False),  # a double space
+        ("p iki 3 2\ne 1 2\ne 2 3", False),  # no final newline
+        ("p iki 3 2\ne 1 2\ne 2 3\n7", False),  # a digit after the final newline
+        ("p iki 3 2\ne 0 1\ne 2 3\n", False),
+        ("p iki 3 2\ne 01 2\ne 2 3\n", False),
+        ("p iki 3 2\ne 1 2\ne 2 1234567890123456789\n", False),  # 19 digits
+        ("p iki 3 0\n", True),  # m = 0, no edge lines
+        ("p iki 3 0\nw 1 4\nw 2 0\n", True),  # a weight of 0
+        ("p iki 3 2\nw 1 0\nw 2 5\nw 3 7\ne 1 2\ne 2 3\n", True),
+        ("p iki 3 2\ne 1 2\ne \u0662 3\n", False),  # a non-ASCII digit
+        ("p iki 3 2\nw 1 \u0663\ne 1 2\ne 2 3\n", False),
+    ],
+)
+def test_scanner_cases_parse_like_the_line_loop(text, bulk):
+    _parity(text)
+    assert (fileformat._parse_canonical(text) is not None) == bulk
+
+
+def test_mutated_canonical_texts_parse_like_the_line_loop():
+    # seeded single-byte edits of generator texts, with and without w lines;
+    # some stay canonical and reach the bulk path
+    rng = random.Random(22)
+    alphabet = list("0123456789 ewc\n\r\t+-") + ["\u0663"]
+    bulk = 0
+    for trial in range(2400):
+        n = rng.randint(1, 12)
+        inst = WeightedInstance.unit(random_chordal(n, 4, trial))
+        if trial % 2:
+            inst = random_weights(inst, 9, trial)
+        text = instance_to_text(inst)
+        at = rng.randrange(len(text))
+        edit, ch = rng.randrange(3), rng.choice(alphabet)
+        if edit == 0:
+            text = text[:at] + ch + text[at + 1 :]
+        elif edit == 1:
+            text = text[:at] + ch + text[at:]
+        else:
+            text = text[:at] + text[at + 1 :]
+        _parity(text)
+        bulk += fileformat._parse_canonical(text) is not None
+    assert bulk > 100
+
+
 def test_comments_and_spacing():
     inst = parse_instance_text("p iki 3 2\n  c  spaced comment\nc\n e  1   2 \ne +2 3\n")
     assert inst.graph.edges() == [(0, 1), (1, 2)]
