@@ -55,8 +55,10 @@ def _digits(digits, end, width):
     for k in range(int(width.max(initial=0))):
         # end - 1 - k may reach before the buffer for a number narrower than
         # k + 1; the index wraps (the widest number bounds how far) and is
-        # masked out
-        out += np.where(width > k, digits[end - 1 - k], 0) * _PLACES[k]
+        # masked out.  The uint8 digits are widened before the multiply:
+        # NumPy 1's value-based casting would keep uint8 * int64 scalar in
+        # uint8 and wrap
+        out += np.where(width > k, digits[end - 1 - k], 0).astype(np.int64) * _PLACES[k]
     return out
 
 

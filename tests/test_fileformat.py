@@ -160,6 +160,10 @@ def _parity(text):
         ("p iki 3 0\n", True),  # m = 0, no edge lines
         ("p iki 3 0\nw 1 4\nw 2 0\n", True),  # a weight of 0
         ("p iki 3 2\nw 1 0\nw 2 5\nw 3 7\ne 1 2\ne 2 3\n", True),
+        # numbers past one and two bytes: every digit place must be read in
+        # int64, not in the digits' uint8
+        ("p iki 301 2\nw 1 300\nw 2 70000\ne 5 300\ne 5 301\n", True),
+        ("p iki 3 1\nw 3 123456789012345\ne 1 2\n", True),
         ("p iki 3 2\ne 1 2\ne \u0662 3\n", False),  # a non-ASCII digit
         ("p iki 3 2\nw 1 \u0663\ne 1 2\ne 2 3\n", False),
     ],
