@@ -203,6 +203,10 @@ def _cmd_solve(args) -> int:
     # colorful
     if inst.colors is None:
         raise _UsageError("solve colorful needs col lines in the instance")
+    if inst.num_colors > dp.MAX_COLORS:
+        raise SizeCapError(
+            f"{inst.num_colors} colors exceed the colorful DP's cap of {dp.MAX_COLORS}"
+        )
     peo = recognition.is_chordal(inst.graph)
     if peo is None:
         print("instance is not chordal", file=sys.stderr)

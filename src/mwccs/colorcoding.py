@@ -342,8 +342,8 @@ def mwis_cluster_chordal(
 
 
 class ClusterChordalSolver:
-    """Bounded-MWIS callable for the subgraph reduction, with a vector
-    entry point so one engine sweep serves every bound of a color class.
+    """Bounded-MWIS solver for the subgraph reduction, with a vector entry
+    point so one engine sweep serves every bound of a color class.
 
     Inner queries follow `ClusterChordalEngine.bounded_vector`: exact within
     MAX_CELLS, where the k-subset family costs C(d, k) x selections x 2^k
@@ -358,9 +358,6 @@ class ClusterChordalSolver:
         self, sub: WeightedInstance, max_bound: int
     ) -> tuple[list[int], Callable[[int], Solution]]:
         return ClusterChordalEngine(sub).bounded_vector(max_bound, self.spec)
-
-    def __call__(self, sub: WeightedInstance, bound: int) -> Solution:
-        return self.solve_vector(sub, bound)[1](bound)
 
 
 def _assemble(
@@ -379,56 +376,40 @@ def _assemble(
 
 
 def _class_vector_fn(inst, ell, solver):
-    """Memoized per-class bound vectors in the parent instance's vertex ids.
+    """Per-class bound vectors in the parent instance's vertex ids.
 
-    class_vector(block) returns (witness, weights): weights[b] for b =
-    0..ell is the class's bounded MWIS weight at bound b, and witness(b)
-    builds, lifts and validates its witness on first use.  Uses the
+    class_vector(block) solves the class and returns (witness, weights):
+    weights[b] for b = 0..ell is the class's bounded MWIS weight at bound b,
+    and witness(b) builds, lifts and validates its witness.  Uses the
     solver's vector entry point when it has one (so one engine sweep
     serves every bound of a color class), otherwise one call per bound.
-    The cache keeps weights and built witnesses, never a solver's run: a
-    cache hit whose witness was never built solves its class again.
+    A query keeps nothing across colorings: a class recurs in the pruned
+    walk too seldom to pay for a cache, and an exhaustive walk with c = 2
+    never repeats one (a block B occurs only in the partition {B, V - B}).
     """
     vector_fn = getattr(solver, "solve_vector", None)
-    cache: dict[frozenset[int], tuple[tuple[int, ...], dict[int, Solution]]] = {}
 
-    def solve(block: frozenset[int]):
-        sub, _ = inst.induce(block)
+    def class_vector(block: frozenset[int]):
+        sub, mapping = inst.induce(block)
         bmax = min(ell, len(block))
         if vector_fn is not None:
             weights, witness = vector_fn(sub, bmax)
         else:
             sols = [solver(sub, b) for b in range(bmax + 1)]
             weights, witness = [s.weight for s in sols], sols.__getitem__
-        return tuple(weights) + (weights[-1],) * (ell - bmax), witness
-
-    def class_vector(block: frozenset[int]):
-        got = cache.get(block)
-        witness = None
-        if got is None:
-            weights, witness = solve(block)
-            got = cache[block] = (weights, {})
-        weights, built = got
+        weights = tuple(weights) + (weights[-1],) * (ell - bmax)
 
         def lifted(b: int) -> Solution:
-            nonlocal witness
             b = min(b, len(block))  # past the class size the vector is flat
-            if b not in built:
-                if witness is None:
-                    again, witness = solve(block)  # deterministic: same runs
-                    if again != weights:
-                        raise ValidationError("class re-solve changed its weights")
-                sol = witness(b)
-                mapping = sorted(block)
-                verts = frozenset(mapping[v] for v in sol.vertices)
-                sol = Solution(verts, sol.weight, None)
-                sol.validate(inst)
-                if len(verts) > b:
-                    raise ValidationError("bounded solver exceeded its size bound")
-                if sol.weight != weights[b]:
-                    raise ValidationError("class witness disagrees with its weight")
-                built[b] = sol
-            return built[b]
+            sol = witness(b)
+            verts = frozenset(mapping[v] for v in sol.vertices)
+            sol = Solution(verts, sol.weight, None)
+            sol.validate(inst)
+            if len(verts) > b:
+                raise ValidationError("bounded solver exceeded its size bound")
+            if sol.weight != weights[b]:
+                raise ValidationError("class witness disagrees with its weight")
+            return sol
 
         return lifted, weights
 
@@ -558,15 +539,16 @@ def mwccs_from_mwis(
     via bounded MWIS on the classes of vertex colorings.
 
     The solver must be exact on induced sub-instances (the class is
-    hereditary).  EXHAUSTIVE mode walks the colorings of the vertex set
-    into at most c classes, one per set partition, and is exact; RANDOMIZED
-    mode draws ceil(c^min(ell, n) * ln(1/epsilon)) uniform colorings.
-    Either is refused past FAMILY_CAP colorings unless spec.trial_cap
-    bounds the draws.  The walk stops once the incumbent reaches the
-    ceiling, so later colorings are never made or drawn, and builds
-    witnesses only for its incumbents' classes.  stats gains "trials" (the
-    family's size, walked or not) and "skipped" (colorings ruled out by the
-    weight bound or never walked).
+    hereditary); it is called once per bound, (sub, bound) -> Solution,
+    unless it has a solve_vector entry point.  EXHAUSTIVE mode walks the
+    colorings of the vertex set into at most c classes, one per set
+    partition, and is exact; RANDOMIZED mode draws ceil(c^min(ell, n) *
+    ln(1/epsilon)) uniform colorings.  Either is refused past FAMILY_CAP
+    colorings unless spec.trial_cap bounds the draws.  The walk stops once
+    the incumbent reaches the ceiling, so later colorings are never made or
+    drawn, and builds witnesses only for its incumbents' classes.  stats
+    gains "trials" (the family's size, walked or not) and "skipped"
+    (colorings ruled out by the weight bound or never walked).
     """
     size, family = _vertex_family(inst, c, ell, spec)
     class_vector = _class_vector_fn(inst, ell, mwis_bounded_solver)

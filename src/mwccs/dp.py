@@ -59,28 +59,15 @@ def _pair_table(c: int):
 
     Exactly 3^c rows; within a C segment submasks ascend.
     """
-    nc = 1 << c
-    full: list[int] = []
-    sub: list[int] = []
-    starts = np.zeros(nc, dtype=np.int64)
-    counts = np.zeros(nc, dtype=np.int64)
-    for C in range(nc):
-        starts[C] = len(full)
-        subs = []
-        s = C
-        while True:
-            subs.append(s)
-            if s == 0:
-                break
-            s = (s - 1) & C
-        subs.reverse()
-        full.extend([C] * len(subs))
-        sub.extend(subs)
-        counts[C] = len(subs)
-    full_a = np.asarray(full, dtype=np.int64)
-    sub_a = np.asarray(sub, dtype=np.int64)
-    assert full_a.size == 3**c
-    return full_a, sub_a, full_a & ~sub_a, starts, counts
+    full = sub = np.zeros(1, dtype=np.int64)
+    for i in range(c):  # each color is outside C, in C only, or in both
+        full = np.concatenate((full, full | 1 << i, full | 1 << i))
+        sub = np.concatenate((sub, sub, sub | 1 << i))
+    order = np.argsort(full << c | sub)
+    full, sub = full[order], sub[order]
+    assert full.size == 3**c
+    counts = np.bincount(full, minlength=1 << c)
+    return full, sub, full & ~sub, np.cumsum(counts) - counts, counts
 
 
 @lru_cache(maxsize=None)

@@ -210,31 +210,26 @@ def _two_clique_coverable(g: Graph, verts: frozenset[int]) -> bool:
     return True
 
 
+def _greedy_peel(g: Graph, removable) -> Ordering | None:
+    """Repeatedly delete the lowest-id remaining vertex v for which
+    removable(v, its remaining neighbors) holds; the deletion order, or None
+    once no remaining vertex is removable.  Sound and complete for a
+    hereditary class, where a removable vertex never blocks another."""
+    alive = set(range(g.n))
+    order = []
+    while alive:
+        v = next((v for v in sorted(alive) if removable(v, g.adj[v] & alive)), None)
+        if v is None:
+            return None
+        order.append(v)
+        alive.discard(v)
+    return tuple(order)
+
+
 def two_simplicial_ordering(g: Graph) -> Ordering | None:
     """An ordering where each vertex's later neighbors split into at most two
-    cliques, if one exists.
-
-    Greedy peeling: repeatedly delete the lowest-id vertex whose remaining
-    neighborhood is coverable by two cliques.  Sound and complete because
-    the class is hereditary, so a removable vertex never blocks another.
-    """
-    remaining = set(range(g.n))
-    adj = {v: set(g.adj[v]) for v in range(g.n)}
-    order = []
-    while remaining:
-        pick = None
-        for v in sorted(remaining):
-            if _two_clique_coverable(g, frozenset(adj[v])):
-                pick = v
-                break
-        if pick is None:
-            return None
-        order.append(pick)
-        remaining.discard(pick)
-        for u in adj[pick]:
-            adj[u].discard(pick)
-        adj[pick] = set()
-    return tuple(order)
+    cliques, if one exists, by greedy peeling."""
+    return _greedy_peel(g, lambda v, nb: _two_clique_coverable(g, nb))
 
 
 def verify_inductive_k_independent(g: Graph, order, k: int) -> bool:
@@ -254,25 +249,11 @@ def find_inductive_k_independent_ordering(g: Graph, k: int) -> Ordering | None:
     """Greedy peeling witness for inductive k-independence, or None.
 
     A vertex is removable when its closed neighborhood in the remaining
-    graph has independence number at most k; heredity of the class makes
-    the greedy choice safe.  Ties break to the lowest vertex id.
+    graph has independence number at most k.
     """
     if k < 1:
         raise ValueError("k must be positive")
-    alive = set(range(g.n))
-    order = []
-    while alive:
-        pick = None
-        for v in sorted(alive):
-            closed = [u for u in g.adj[v] if u in alive] + [v]
-            if independence_bounded(g, closed, k):
-                pick = v
-                break
-        if pick is None:
-            return None
-        order.append(pick)
-        alive.discard(pick)
-    return tuple(order)
+    return _greedy_peel(g, lambda v, nb: independence_bounded(g, [*nb, v], k))
 
 
 @dataclass(frozen=True)

@@ -160,6 +160,15 @@ def test_solve_colorful_refuses_color_30(tmp_path, capsys):
     assert code == 3 and out == "" and err.startswith("size cap:")
 
 
+def test_solve_colorful_refuses_more_than_30_colors(tmp_path, capsys):
+    # the file, not an argument, asks for 31 colors: a size-cap refusal
+    path = tmp_path / "c31.iki"
+    path.write_text("p iki 2 1\ncol 1 31\ncol 2 1\ne 1 2\n")
+    code, out, err = run_cli(["solve", "colorful", str(path)], capsys)
+    assert code == 3 and out == ""
+    assert err == "size cap: 31 colors exceed the colorful DP's cap of 30\n"
+
+
 def test_solve_colorful_prices_the_join_pairs(tmp_path, capsys):
     # five vertices and 20 colors are far inside the cell cap, but the
     # binary clique tree's joins would split about 1.2e10 (color set, sub

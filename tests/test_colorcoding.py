@@ -1,3 +1,4 @@
+import functools
 import hashlib
 import json
 import math
@@ -442,9 +443,10 @@ def _unpruned_walk(colorings, c, ell, class_vector):
 
 
 def _assert_matches_unpruned(got, stats, inst, c, ell, solver, spec):
-    want, trials = _unpruned_walk(
-        _vertex_family(inst, c, ell, spec)[1], c, ell, _class_vector_fn(inst, ell, solver)
-    )
+    # the reference walk queries every coloring on purpose, so it memoizes
+    # its class queries; the walk under test keeps nothing across colorings
+    class_vector = functools.cache(_class_vector_fn(inst, ell, solver))
+    want, trials = _unpruned_walk(_vertex_family(inst, c, ell, spec)[1], c, ell, class_vector)
     assert got.weight == want.weight
     assert got.vertices == want.vertices
     assert got.color_assignment == want.color_assignment
@@ -683,26 +685,6 @@ def test_witnesses_are_built_only_for_incumbents(monkeypatch):
     assert outside == []
     # a witness reruns at most its winning coloring, and some do
     assert max(reruns) == 1
-
-
-def test_cache_hit_rebuilds_an_unbuilt_witness():
-    inst = random_cluster_chordal_instance(10, 3, 3, 3, seed=5)
-    block, ell = frozenset(range(0, 10, 2)), 3
-    queries = []
-
-    class CountingSolver(ClusterChordalSolver):
-        def solve_vector(self, sub, max_bound):
-            queries.append(max_bound)
-            return super().solve_vector(sub, max_bound)
-
-    fresh, fresh_weights = _class_vector_fn(inst, ell, ClusterChordalSolver(EX))(block)
-    class_vector = _class_vector_fn(inst, ell, CountingSolver(EX))
-    class_vector(block)  # a miss whose witnesses are never built
-    witness, weights = class_vector(block)  # a hit
-    assert weights == fresh_weights and len(queries) == 1
-    for b in range(ell + 1):
-        assert witness(b) == fresh(b)
-    assert len(queries) == 2  # one re-solve served every bound
 
 
 def test_randomized_inner_witnesses_past_the_held_cell_budget(monkeypatch):

@@ -2,6 +2,7 @@ import hashlib
 import itertools
 import random
 
+import numpy as np
 import pytest
 
 from mwccs.dp import (
@@ -209,6 +210,13 @@ def test_pair_table_enumerates_exactly_three_to_the_c():
         assert counts.sum() == 3**c
         # submask discipline
         assert ((full & sub) == sub).all()
+        # against a loop: grouped by C ascending, submasks ascending within
+        want = [(C, s) for C in range(1 << c) for s in range(C + 1) if s & C == s]
+        assert list(zip(full.tolist(), sub.tolist())) == want
+        assert (other_base == full & ~sub).all()
+        assert counts.tolist() == [1 << C.bit_count() for C in range(1 << c)]
+        assert starts.tolist() == [sum(counts.tolist()[:C]) for C in range(1 << c)]
+        assert {a.dtype for a in (full, sub, other_base, starts, counts)} == {np.dtype(np.int64)}
 
 
 def test_supersets_split_every_color_set_around_the_selection():

@@ -1,4 +1,6 @@
+import hashlib
 import itertools
+import json
 import random
 
 import pytest
@@ -186,6 +188,24 @@ def test_find_inductive_k_independent_ordering():
             order = find_inductive_k_independent_ordering(g, k)
             if order is not None:
                 assert verify_inductive_k_independent(g, order, k)
+
+
+def test_peeled_orderings_pinned():
+    # the greedy peelers' exact orderings (None where peeling sticks) on
+    # seeded random graphs, so that their tie rule (lowest id first) and
+    # their verdicts cannot drift
+    got = []
+    for i in range(400):
+        rng = random.Random(i)
+        g = random_graph(rng.randint(1, 18), rng.random(), i)
+        got.append(
+            [two_simplicial_ordering(g)]
+            + [find_inductive_k_independent_ordering(g, k) for k in (1, 2, 3)]
+        )
+    found = [sum(row[j] is not None for row in got) for j in range(4)]
+    assert found == [348, 184, 350, 400]
+    digest = hashlib.sha256(json.dumps(got).encode()).hexdigest()
+    assert digest == "a21aff8c313026b92b2b94ffbdd64e86d96159876a33586aac1eb6f74562812c"
 
 
 def test_brute_force_cluster_chordal():
