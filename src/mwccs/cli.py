@@ -15,7 +15,6 @@ import time
 from . import colorcoding, dp, fileformat, gadgets, generators, oracle, recognition
 from .colorcoding import ColoringFamilySpec, Mode
 from .graph import (
-    Graph,
     SizeCapError,
     Solution,
     ValidationError,
@@ -148,57 +147,28 @@ def _spec_from_args(args) -> ColoringFamilySpec:
     )
 
 
-def _with_singleton_clusters(inst: WeightedInstance) -> WeightedInstance:
-    return WeightedInstance(
-        inst.graph,
-        inst.weights,
-        colors=inst.colors,
-        clusters=inst.clusters,
-        cluster_edges=frozenset(),
-        chordal_edges=frozenset(inst.graph.edges()),
-    )
-
-
 def _cmd_solve(args) -> int:
     inst = fileformat.parse_instance(args.instance)
     started = time.monotonic()
-    stats: dict = {}
-    if args.problem == "mwccs":
-        if args.ell is None:
+    if args.problem != "colorful":
+        if args.ell is None and args.problem == "mwccs":
             raise _UsageError("solve mwccs requires --ell")
+        if args.ell is None and inst.has_decomposition:
+            raise _UsageError("solve mwis on a witnessed instance requires --ell")
         spec = _spec_from_args(args)
-        if not inst.has_decomposition:
-            if recognition.is_chordal(inst.graph) is None:
-                print(
-                    "instance is neither witnessed cluster+chordal nor chordal",
-                    file=sys.stderr,
-                )
-                return EXIT_ABSENT
-            inst = _with_singleton_clusters(inst)
-        sol = colorcoding.mwccs_cluster_chordal(inst, args.c, args.ell, spec, stats)
-        return _emit_solution(args, inst, sol, started, args.c, spec, stats)
-    if args.problem == "mwis":
-        spec = _spec_from_args(args)
-        solver_inst = inst
-        if inst.has_decomposition:
-            if args.ell is None:
-                raise _UsageError(
-                    "solve mwis on a witnessed instance requires --ell"
-                )
-        else:
-            peo = recognition.is_chordal(inst.graph)
-            if peo is None:
-                print(
-                    "instance is not chordal; supply a decomposition witness",
-                    file=sys.stderr,
-                )
-                return EXIT_ABSENT
-            if args.ell is None:
-                return _emit_solution(
-                    args, inst, dp.max_weight_is_chordal(inst, peo), started
-                )
-            solver_inst = _with_singleton_clusters(inst)
-        sol = colorcoding.mwis_cluster_chordal(solver_inst, args.ell, spec, stats)
+        try:
+            peo = colorcoding.decomposition_parts(inst)[2]
+        except ValueError as exc:  # the parser checked any witness: not chordal
+            print(exc, file=sys.stderr)
+            return EXIT_ABSENT
+        if args.ell is None:  # a plain chordal graph, without a budget
+            sol = dp.max_weight_is_chordal(inst, peo)
+            return _emit_solution(args, inst, sol, started)
+        stats: dict = {}
+        if args.problem == "mwccs":
+            sol = colorcoding.mwccs_cluster_chordal(inst, args.c, args.ell, spec, stats)
+            return _emit_solution(args, inst, sol, started, args.c, spec, stats)
+        sol = colorcoding.mwis_cluster_chordal(inst, args.ell, spec, stats)
         return _emit_solution(args, inst, sol, started, spec=spec, stats=stats)
     # colorful
     if inst.colors is None:

@@ -13,8 +13,8 @@ color classes (renaming colors never changes an optimum, so one
 representative per partition suffices) and is exact.  RANDOMIZED draws
 independent uniform colorings from a seeded stream and is optimal with
 probability at least 1 - epsilon, always returning a feasible set.  Either
-family is refused when it is made if it stands for more than FAMILY_CAP
-(2^24) colorings, unless a trial cap bounds the randomized draws.
+family is refused when it is made if it holds more than FAMILY_CAP (2^24)
+colorings, unless a trial cap bounds the randomized draws.
 
 The cluster reduction is exact in both modes within the DP's MAX_CELLS
 budget: an answer holds at most ell clusters, so one DP run per k-subset of
@@ -152,12 +152,15 @@ def _randomized_trials(base: float, spec: ColoringFamilySpec) -> int:
     return need
 
 
-def _partition_count(m: int, k: int) -> int:
+def _partition_count(m: int, k: int, cap: int) -> int:
     """Partitions of m items into at most k blocks: the sum of the Stirling
-    numbers S(m, j) for j <= k."""
+    numbers S(m, j) for j <= k.  The count never falls as m grows, so once
+    the count of the first i items passes cap, that count is returned."""
     row = [1] + [0] * k  # row[j] = S(i, j), from i = 0
     for _ in range(m):
         row = [0] + [j * row[j] + row[j - 1] for j in range(1, k + 1)]
+        if sum(row) > cap:
+            break
     return sum(row)
 
 
@@ -168,17 +171,20 @@ def _colorings(
     lazy iterator over it.
 
     EXHAUSTIVE: one coloring per partition of the items into at most k
-    blocks, refused here, before any coloring is made, when k^m exceeds
-    FAMILY_CAP.  RANDOMIZED: _randomized_trials(base, spec) uniform draws
-    from random.Random(spec.seed), each drawn when it is pulled.
+    blocks, refused here, before any coloring is made, when there are more
+    than FAMILY_CAP of them.  RANDOMIZED: _randomized_trials(base, spec)
+    uniform draws from random.Random(spec.seed), each drawn when it is
+    pulled.
     """
     if spec.mode == Mode.EXHAUSTIVE:
-        if k**m > FAMILY_CAP:
+        size = _partition_count(m, k, FAMILY_CAP)
+        if size > FAMILY_CAP:
             raise SizeCapError(
-                f"enumerating {k}^{m} colorings exceeds the exhaustive cap; "
+                f"enumerating the partitions of {m} items into at most {k} "
+                f"blocks exceeds the exhaustive cap of {FAMILY_CAP} colorings; "
                 "use randomized mode"
             )
-        return _partition_count(m, k), _partition_colorings(m, k)
+        return size, _partition_colorings(m, k)
     trials = _randomized_trials(base, spec)
     rng = random.Random(spec.seed)
     return trials, (tuple(rng.randint(1, k) for _ in range(m)) for _ in range(trials))
@@ -194,34 +200,46 @@ def _subset_colorings(d: int, k: int) -> Iterator[tuple[int, ...]]:
         yield tuple(f)
 
 
-def decomposition_parts(inst: WeightedInstance) -> tuple[list[frozenset[int]], Graph]:
-    """Split a witnessed instance into (ordered clusters, chordal-side graph).
+def decomposition_parts(
+    inst: WeightedInstance,
+) -> tuple[list[frozenset[int]], Graph, tuple[int, ...]]:
+    """The cluster reduction's parts of an instance: (ordered clusters,
+    chordal-side graph, a perfect elimination ordering of that graph).
 
-    Clusters are the components of the cluster-tagged edges plus singleton
-    vertices, ordered by smallest member.  Raises if the cluster side is
-    not a cluster graph.
+    A witnessed instance splits along its edge tags: the clusters are the
+    components of the cluster-tagged edges, singleton vertices included,
+    ordered by smallest member, and the chordal-tagged edges make the
+    chordal side.  An instance without a witness is a chordal graph with
+    singleton clusters, if its graph is chordal.  Raises ValueError when
+    the cluster side is not a cluster graph or the chordal side is not
+    chordal.
     """
-    if not inst.has_decomposition:
-        raise ValueError(
-            "instance carries no cluster/chordal edge partition witness"
-        )
     n = inst.graph.n
-    cluster_g = Graph(n, sorted(inst.cluster_edges))
-    viol = find_cluster_violation(cluster_g)
-    if viol is not None:
-        raise ValueError(
-            f"cluster-tagged edges are not a cluster graph: induced path {viol}"
-        )
-    chordal_g = Graph(n, sorted(inst.chordal_edges))
-    seen = [False] * n
-    clusters: list[frozenset[int]] = []
-    for v in range(n):
-        if not seen[v]:
-            comp = frozenset(cluster_g.adj[v] | {v})
-            for u in comp:
-                seen[u] = True
-            clusters.append(comp)
-    return clusters, chordal_g
+    if not inst.has_decomposition:
+        chordal_g = inst.graph
+        clusters = [frozenset((v,)) for v in range(n)]
+        refusal = "instance is neither witnessed cluster+chordal nor chordal"
+    else:
+        cluster_g = Graph(n, sorted(inst.cluster_edges))
+        viol = find_cluster_violation(cluster_g)
+        if viol is not None:
+            raise ValueError(
+                f"cluster-tagged edges are not a cluster graph: induced path {viol}"
+            )
+        chordal_g = Graph(n, sorted(inst.chordal_edges))
+        seen = [False] * n
+        clusters = []
+        for v in range(n):
+            if not seen[v]:
+                comp = frozenset(cluster_g.adj[v] | {v})
+                for u in comp:
+                    seen[u] = True
+                clusters.append(comp)
+        refusal = "chordal-tagged edges do not form a chordal graph"
+    peo = is_chordal(chordal_g)
+    if peo is None:
+        raise ValueError(refusal)
+    return clusters, chordal_g, peo
 
 
 class ClusterChordalEngine:
@@ -233,10 +251,7 @@ class ClusterChordalEngine:
 
     def __init__(self, inst: WeightedInstance):
         self.inst = inst
-        self.clusters, self.chordal_g = decomposition_parts(inst)
-        peo = is_chordal(self.chordal_g)
-        if peo is None:
-            raise ValueError("chordal-tagged edges do not form a chordal graph")
+        self.clusters, self.chordal_g, peo = decomposition_parts(inst)
         self.td = clique_tree_from_peo(self.chordal_g, peo)
         self.cluster_of = [0] * inst.graph.n
         for i, comp in enumerate(self.clusters):
@@ -336,14 +351,16 @@ def mwis_cluster_chordal(
     stats: dict | None = None,
 ) -> Solution:
     """Max-weight independent set with at most ell vertices of a
-    cluster+chordal graph, given the decomposition witness."""
+    cluster+chordal graph, split as decomposition_parts splits it: along
+    its witness, or into singleton clusters when it has none and is
+    chordal."""
     _, witness = ClusterChordalEngine(inst).bounded_vector(ell, spec, stats)
     return witness(ell)
 
 
 class ClusterChordalSolver:
-    """Bounded-MWIS solver for the subgraph reduction, with a vector entry
-    point so one engine sweep serves every bound of a color class.
+    """The subgraph reduction's class solver: solve_vector answers every
+    bound of a color class with one engine sweep.
 
     Inner queries follow `ClusterChordalEngine.bounded_vector`: exact within
     MAX_CELLS, where the k-subset family costs C(d, k) x selections x 2^k
@@ -378,25 +395,20 @@ def _assemble(
 def _class_vector_fn(inst, ell, solver):
     """Per-class bound vectors in the parent instance's vertex ids.
 
-    class_vector(block) solves the class and returns (witness, weights):
-    weights[b] for b = 0..ell is the class's bounded MWIS weight at bound b,
-    and witness(b) builds, lifts and validates its witness.  Uses the
-    solver's vector entry point when it has one (so one engine sweep
-    serves every bound of a color class), otherwise one call per bound.
-    A query keeps nothing across colorings: a class recurs in the pruned
-    walk too seldom to pay for a cache, and an exhaustive walk with c = 2
-    never repeats one (a block B occurs only in the partition {B, V - B}).
+    class_vector(block) makes one call solver(sub, bmax) on the class's
+    induced sub-instance, with bmax = min(ell, |block|), and returns
+    (witness, weights): weights[b] for b = 0..ell is the class's bounded
+    MWIS weight at bound b, and witness(b) builds, lifts and validates its
+    witness.  A query keeps nothing across colorings: a class recurs in
+    the pruned walk too seldom to pay for a cache, and an exhaustive walk
+    with c = 2 never repeats one (a block B occurs only in the partition
+    {B, V - B}).
     """
-    vector_fn = getattr(solver, "solve_vector", None)
 
     def class_vector(block: frozenset[int]):
         sub, mapping = inst.induce(block)
         bmax = min(ell, len(block))
-        if vector_fn is not None:
-            weights, witness = vector_fn(sub, bmax)
-        else:
-            sols = [solver(sub, b) for b in range(bmax + 1)]
-            weights, witness = [s.weight for s in sols], sols.__getitem__
+        weights, witness = solver(sub, bmax)
         weights = tuple(weights) + (weights[-1],) * (ell - bmax)
 
         def lifted(b: int) -> Solution:
@@ -531,16 +543,21 @@ def mwccs_from_mwis(
     inst: WeightedInstance,
     c: int,
     ell: int,
-    mwis_bounded_solver: Callable[[WeightedInstance, int], Solution],
+    class_solver: Callable[
+        [WeightedInstance, int], tuple[list[int], Callable[[int], Solution]]
+    ],
     spec: ColoringFamilySpec,
     stats: dict | None = None,
 ) -> Solution:
     """Max-weight induced c-colorable subgraph with at most ell vertices,
     via bounded MWIS on the classes of vertex colorings.
 
-    The solver must be exact on induced sub-instances (the class is
-    hereditary); it is called once per bound, (sub, bound) -> Solution,
-    unless it has a solve_vector entry point.  EXHAUSTIVE mode walks the
+    class_solver(sub, max_bound) answers one color class, an induced
+    sub-instance, for every bound at once: it returns (weights, witness),
+    where weights[b] for b = 0..max_bound is the weight of a heaviest
+    independent set of at most b vertices and witness(b) builds one.  It
+    must be exact on induced sub-instances (the class is hereditary); it is
+    called once per class a coloring queries.  EXHAUSTIVE mode walks the
     colorings of the vertex set into at most c classes, one per set
     partition, and is exact; RANDOMIZED mode draws ceil(c^min(ell, n) *
     ln(1/epsilon)) uniform colorings.  Either is refused past FAMILY_CAP
@@ -551,7 +568,7 @@ def mwccs_from_mwis(
     (colorings ruled out by the weight bound or never walked).
     """
     size, family = _vertex_family(inst, c, ell, spec)
-    class_vector = _class_vector_fn(inst, ell, mwis_bounded_solver)
+    class_vector = _class_vector_fn(inst, ell, class_solver)
     # an exhaustive walk is exact, so its answer reaches any feasible weight;
     # a randomized family may fall short of it, and gets no floor
     floor = _greedy_floor(inst, c, ell) if spec.mode == Mode.EXHAUSTIVE else 0
@@ -575,8 +592,9 @@ def mwccs_cluster_chordal(
     stats: dict | None = None,
 ) -> Solution:
     """The full pipeline: max-weight c-colorable subgraph with at most ell
-    vertices of a cluster+chordal graph with a given decomposition witness."""
-    _, chordal_g = decomposition_parts(inst)  # validate the witness up front
-    if is_chordal(chordal_g) is None:
-        raise ValueError("chordal-tagged edges do not form a chordal graph")
-    return mwccs_from_mwis(inst, c, ell, ClusterChordalSolver(spec), spec, stats)
+    vertices of a cluster+chordal graph, split as decomposition_parts
+    splits it; an instance it cannot split is refused before the walk."""
+    decomposition_parts(inst)
+    return mwccs_from_mwis(
+        inst, c, ell, ClusterChordalSolver(spec).solve_vector, spec, stats
+    )

@@ -143,10 +143,11 @@ def _join_rows(a_rows, b_rows, masks, ws, c: int):
     return out
 
 
-def _join_bag(avals, bvals, meta, c: int):
+def _join_bag(avals, bvals, meta, c: int, neg: np.ndarray):
     """Tables of a join bag from its two children's tables; meta holds
-    (color mask, colorful, weight) per selection."""
-    arrs: list[np.ndarray] = [np.full(1 << c, NEG, dtype=np.int64)] * len(meta)
+    (color mask, colorful, weight) per selection, and every non-colorful
+    selection gets the run's read-only NEG row neg."""
+    arrs: list[np.ndarray] = [neg] * len(meta)
     by_count: dict[int, list[int]] = {}
     for i, (mask, colorful, _) in enumerate(meta):
         if colorful:
@@ -314,7 +315,7 @@ class ColorfulDP:
                     arrs.append(np.where(holds(mask), base, NEG))
             else:
                 y, z = self.join_children[x]
-                arrs = _join_bag(values[y], values[z], sel_meta[x], c)
+                arrs = _join_bag(values[y], values[z], sel_meta[x], c, neg)
             values[x] = arrs
 
         return ColorfulRun(self, colors, c, tuple(cmask), values)

@@ -170,13 +170,7 @@ def parse_instance_text(text: str) -> WeightedInstance:
                 raise ParseError("header must come first", lineno)
             if len(parts) not in (3, 4):
                 raise ParseError("`e` takes two vertices and an optional tag", lineno)
-            try:
-                u, v = int(parts[1]) - 1, int(parts[2]) - 1
-            except ValueError:
-                u = v = -1
-            if not (0 <= u < n and 0 <= v < n):
-                vertex(parts[1], lineno)  # raises the first id's error, if any
-                vertex(parts[2], lineno)
+            u, v = vertex(parts[1], lineno), vertex(parts[2], lineno)
             if u == v:
                 raise ParseError("self-loop", lineno)
             tag = None

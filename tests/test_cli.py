@@ -1,3 +1,4 @@
+import hashlib
 import subprocess
 import sys
 import time
@@ -445,3 +446,64 @@ def test_console_script_runs():
     )
     assert proc.returncode == 0
     assert "mwccs" in proc.stdout
+
+
+@pytest.fixture
+def front_door_files(tmp_path):
+    files = {}
+    for name, inst in (
+        ("chordal", random_weights(WeightedInstance.unit(random_chordal(8, 3, 3)), 9, 4)),
+        ("non-chordal", WeightedInstance.unit(cycle_graph(5))),
+        ("witnessed", random_cluster_chordal_instance(8, 3, 3, 9, seed=5)),
+    ):
+        path = tmp_path / f"{name}.iki"
+        write_instance(inst, path)
+        files[name] = str(path)
+    return files
+
+
+@pytest.mark.parametrize(
+    "problem, kind, args, want",
+    [
+        ("mwccs", "non-chordal", ["--c", "2"], 64),  # no --ell
+        ("mwccs", "non-chordal", ["--c", "2", "--ell", "2"], 2),
+        ("mwis", "non-chordal", ["--ell", "2"], 2),
+        ("mwis", "non-chordal", [], 2),
+        ("mwis", "witnessed", [], 64),  # no --ell
+        ("mwccs", "chordal", ["--c", "2", "--ell", "2", "--mode", "randomized",
+                              "--epsilon", "0"], 64),
+        ("mwis", "chordal", ["--ell", "2", "--mode", "randomized", "--epsilon", "2"], 64),
+        ("mwis", "chordal", [], 0),
+        ("mwccs", "non-chordal", ["--c", "2", "--ell", "2", "--mode", "randomized",
+                                  "--epsilon", "0"], 64),
+        ("mwis", "non-chordal", ["--mode", "randomized", "--epsilon", "0"], 64),
+    ],
+)
+def test_solve_front_door_exit_codes(problem, kind, args, want, front_door_files, capsys):
+    # usage and --epsilon errors come before the split of the instance
+    code, out, err = run_cli(["solve", problem, front_door_files[kind], *args], capsys)
+    assert code == want, err
+    if want == 2:
+        assert out == "" and "chordal" in err
+
+
+def test_plain_chordal_documents_are_pinned(tmp_path, capsys):
+    # digest recorded before plain chordal input was split by the library
+    # instead of being given singleton clusters by the CLI
+    h = hashlib.sha256()
+    for seed in range(3):
+        inst = random_weights(WeightedInstance.unit(random_chordal(14, 3, seed)), 3, seed)
+        path = tmp_path / f"ch{seed}.iki"
+        write_instance(inst, path)
+        for args in (
+            ["mwccs", "--c", "2", "--ell", "3"],
+            ["mwccs", "--c", "3", "--ell", "3", "--mode", "randomized", "--seed", "5"],
+            ["mwis", "--ell", "3"],
+            ["mwis", "--ell", "4", "--mode", "randomized", "--seed", "2"],
+        ):
+            code, out, err = run_cli(["solve", args[0], str(path), *args[1:]], capsys)
+            assert code == 0, err
+            h.update(out.encode())
+    assert h.hexdigest() == (
+        "5d37172e3f4170f73b40a9f475aaccac6d3facf247aee6fb98edb8fd2c196285"
+    )

@@ -59,8 +59,9 @@ def _chordal_with_singletons(inst):
     )
 
 
-def _brute_bounded_solver(sub, bound):
-    return brute_mwis(sub, ell_cap=bound)
+def _brute_bounded_solver(sub, max_bound):
+    sols = [brute_mwis(sub, ell_cap=b) for b in range(max_bound + 1)]
+    return [sol.weight for sol in sols], sols.__getitem__
 
 
 def test_enumerate_size_partitions():
@@ -83,11 +84,11 @@ def test_spec_validation():
 
 def test_decomposition_parts():
     inst = random_cluster_chordal_instance(10, 3, 3, 5, seed=1)
-    clusters, chordal_g = decomposition_parts(inst)
+    clusters, chordal_g, peo = decomposition_parts(inst)
     assert sorted(v for comp in clusters for v in comp) == list(range(10))
-    assert is_chordal(chordal_g) is not None
+    assert peo == is_chordal(chordal_g)
     bare = WeightedInstance.unit(cycle_graph(4))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="neither witnessed"):
         decomposition_parts(bare)
 
 
@@ -175,8 +176,37 @@ def test_mwis_cluster_chordal_strip_sample():
 
 
 def test_mwis_cluster_chordal_requires_witness():
+    # without a witness only a chordal graph can be split
+    bare = WeightedInstance.unit(cycle_graph(4))
     with pytest.raises(ValueError):
-        mwis_cluster_chordal(WeightedInstance.unit(cycle_graph(4)), 2, EX)
+        mwis_cluster_chordal(bare, 2, EX)
+    with pytest.raises(ValueError):
+        mwccs_cluster_chordal(bare, 2, 3, EX)
+
+
+def test_plain_chordal_input_is_split_into_singleton_clusters():
+    # an unwitnessed chordal instance answers as its singleton-witnessed copy
+    for i in range(10):
+        rng = random.Random(i)
+        n = 5 + i  # past IDENTITY_COLOR_CAP an inner query takes cluster subsets
+        plain = WeightedInstance(
+            random_chordal(n, 3, i + 500), tuple(rng.randint(0, 3) for _ in range(n))
+        )
+        witnessed = _chordal_with_singletons(plain)
+        clusters, chordal_g, _ = decomposition_parts(plain)
+        assert clusters == [frozenset((v,)) for v in range(n)]
+        assert chordal_g == plain.graph
+        c, ell = rng.randint(1, 3), rng.randint(1, 5)
+        for spec in (EX, ColoringFamilySpec(Mode.RANDOMIZED, epsilon=0.1, seed=i)):
+            got = []
+            for inst in (plain, witnessed):
+                stats: dict = {}
+                sol = mwccs_cluster_chordal(inst, c, ell, spec, stats)
+                got.append((sol.vertices, sol.weight, sol.color_assignment, stats))
+                stats = {}
+                sol = mwis_cluster_chordal(inst, ell, spec, stats)
+                got.append((sol.vertices, sol.weight, sol.color_assignment, stats))
+            assert got[:2] == got[2:], (i, spec.mode)
 
 
 def test_pipeline_c1_matches_mwis():
@@ -377,12 +407,18 @@ def test_pinned_exhaustive_witnesses_and_randomized_weights():
 
 def test_family_cap_at_creation(monkeypatch):
     assert FAMILY_CAP == 2**24
-    for m, k in ((24, 2), (12, 4)):  # k^m equals the cap: accepted
+    # the cap is on the partitions of m items into at most k blocks
+    for m, k in ((25, 2), (16, 3), (14, 4)):
         _, family = _colorings(m, k, 1.0, EX)
         assert next(family) == (1,) * m
-    for m, k in ((25, 2), (13, 4)):
+    for m, k in ((26, 2), (17, 3), (15, 4)):
         with pytest.raises(SizeCapError, match="randomized"):
             _colorings(m, k, 1.0, EX)
+    # the count stops once it passes the cap, so a refusal is instant
+    start = time.perf_counter()
+    with pytest.raises(SizeCapError, match="randomized"):
+        _colorings(20000, 30, 1.0, EX)
+    assert time.perf_counter() - start < 0.5
     # a randomized family draws ceil(base * ln(1/epsilon)) colorings under
     # the same cap, base past the float range included, unless a trial cap
     # bounds the draws
@@ -406,7 +442,7 @@ def test_family_cap_at_creation(monkeypatch):
     assert mwccs_from_mwis(outer, 2, 3, _brute_bounded_solver, EX).weight == 0
     with pytest.raises(SizeCapError):
         mwccs_from_mwis(
-            WeightedInstance.unit(Graph(25, [])), 2, 3, _brute_bounded_solver, EX
+            WeightedInstance.unit(Graph(26, [])), 2, 3, _brute_bounded_solver, EX
         )
     assert made == [(24, 2)]
     # inner queries never walk set partitions, whatever their cluster count
@@ -469,7 +505,7 @@ def test_pruned_walk_matches_unpruned_walk():
         for spec in (EX, ColoringFamilySpec(Mode.RANDOMIZED, epsilon=0.1, seed=i)):
             stats = {}
             got = mwccs_cluster_chordal(inst, c, ell, spec, stats)
-            solver = ClusterChordalSolver(spec)
+            solver = ClusterChordalSolver(spec).solve_vector
             _assert_matches_unpruned(got, stats, inst, c, ell, solver, spec)
     # without a witness, on random graphs
     from conftest import random_graph
@@ -549,9 +585,9 @@ def test_cover_bound_sees_chordal_edges():
 def test_skipped_colorings_make_no_solver_calls():
     calls = []
 
-    def counting_solver(sub, bound):
-        calls.append(bound)
-        return brute_mwis(sub, ell_cap=bound)
+    def counting_solver(sub, max_bound):
+        calls.append(max_bound)
+        return _brute_bounded_solver(sub, max_bound)
 
     inst = random_cluster_chordal_instance(8, 3, 3, 9, seed=11)
     stats: dict = {}

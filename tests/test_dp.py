@@ -443,3 +443,25 @@ def test_alpha_checks_refuse_a_search_past_the_cap():
         ColorfulDP(WeightedInstance.unit(g), td, 20)
     with pytest.raises(SizeCapError, match="independent-subset search"):
         bag_alpha(g, td)
+
+
+def test_non_colorful_rows_are_one_read_only_row():
+    # every non-colorful row of a run, join bags' included, is the same
+    # read-only NEG row, so no bag can write through a shared row; color 0
+    # excludes a vertex, so its selections are not colorful
+    joined = 0
+    for seed in range(40):
+        inst, c = _random_colored_chordal(seed)
+        rng = random.Random(seed)
+        colors = tuple(col * (rng.random() < 0.7) for col in inst.colors)
+        engine = ColorfulDP(inst, _clique_tree(inst.graph), 1)
+        run = engine.solve(colors, c)
+        rows = []
+        for x, sels in enumerate(engine.sels):
+            joined += x in engine.join_children
+            for s, row in zip(sels, run.values[x]):
+                if len({colors[v] for v in s} - {0}) < len(s):
+                    rows.append(row)
+        assert not any(row.flags.writeable for row in rows), seed
+        assert len({id(row) for row in rows}) <= 1, seed
+    assert joined > 0
