@@ -157,8 +157,8 @@ def _cmd_solve(args) -> int:
             raise _UsageError("solve mwis on a witnessed instance requires --ell")
         spec = _spec_from_args(args)
         try:
-            peo = colorcoding.decomposition_parts(inst)[2]
-        except ValueError as exc:  # the parser checked any witness: not chordal
+            peo = inst.parts[2]
+        except ValueError as exc:  # a witness is checked when made: not chordal
             print(exc, file=sys.stderr)
             return EXIT_ABSENT
         if args.ell is None:  # a plain chordal graph, without a budget
@@ -196,6 +196,14 @@ def _order_text(order) -> str:
     return "order " + " ".join(str(v + 1) for v in order) + "\n"
 
 
+def _parameter(arg: str, what: str) -> int:
+    """The k of a `prefix:k` argument; a k that is not an int is a usage error."""
+    try:
+        return int(arg.split(":", 1)[1])
+    except ValueError:
+        raise _UsageError(f"bad {what} parameter in {arg!r}") from None
+
+
 def _cmd_recognize(args) -> int:
     inst = fileformat.parse_instance(args.instance)
     g = inst.graph
@@ -209,10 +217,10 @@ def _cmd_recognize(args) -> int:
         print("chordal: no")
         return EXIT_ABSENT
     if klass == "cluster":
-        if recognition.is_cluster(g):
+        viol = recognition.find_cluster_violation(g)
+        if viol is None:
             print("cluster: yes")
             return EXIT_OK
-        viol = recognition.find_cluster_violation(g)
         print(f"cluster: no (induced path {tuple(v + 1 for v in viol)})")
         return EXIT_ABSENT
     if klass == "two-simplicial":
@@ -235,10 +243,7 @@ def _cmd_recognize(args) -> int:
         return EXIT_ABSENT
     for prefix in ("kmino", "k1kfree", "inductive"):
         if klass.startswith(prefix + ":"):
-            try:
-                k = int(klass.split(":", 1)[1])
-            except ValueError:
-                raise _UsageError(f"bad class parameter in {klass!r}")
+            k = _parameter(klass, "class")
             if prefix == "kmino":
                 ok = recognition.is_k_mino(g, k)
                 print(f"kmino:{k}: {'yes' if ok else 'no'}")
@@ -313,7 +318,7 @@ def _cmd_reduce(args) -> int:
     for prefix, fn in (("indkind", gadgets.gen_indkind_hardness),
                        ("k1kfree", gadgets.gen_k1kfree_hardness)):
         if args.kind.startswith(prefix + ":"):
-            k = int(args.kind.split(":", 1)[1])
+            k = _parameter(args.kind, "reduction")
             out = WeightedInstance.unit(fn(inst.graph, k))
             fileformat.write_instance(out, args.output)
             print(f"wrote {args.output}")

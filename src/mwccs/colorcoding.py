@@ -48,7 +48,6 @@ from typing import Callable, Iterator
 
 from .dp import MAX_CELLS, MAX_COLORS, ColorfulDP
 from .graph import (
-    Graph,
     SizeCapError,
     Solution,
     ValidationError,
@@ -56,7 +55,6 @@ from .graph import (
     induced_subgraph,
     is_c_colorable,
 )
-from .recognition import find_cluster_violation, is_chordal
 from .treedecomp import clique_tree_from_peo
 
 FAMILY_CAP = 1 << 24  # cap on a family's colorings, enumerated or drawn
@@ -200,48 +198,6 @@ def _subset_colorings(d: int, k: int) -> Iterator[tuple[int, ...]]:
         yield tuple(f)
 
 
-def decomposition_parts(
-    inst: WeightedInstance,
-) -> tuple[list[frozenset[int]], Graph, tuple[int, ...]]:
-    """The cluster reduction's parts of an instance: (ordered clusters,
-    chordal-side graph, a perfect elimination ordering of that graph).
-
-    A witnessed instance splits along its edge tags: the clusters are the
-    components of the cluster-tagged edges, singleton vertices included,
-    ordered by smallest member, and the chordal-tagged edges make the
-    chordal side.  An instance without a witness is a chordal graph with
-    singleton clusters, if its graph is chordal.  Raises ValueError when
-    the cluster side is not a cluster graph or the chordal side is not
-    chordal.
-    """
-    n = inst.graph.n
-    if not inst.has_decomposition:
-        chordal_g = inst.graph
-        clusters = [frozenset((v,)) for v in range(n)]
-        refusal = "instance is neither witnessed cluster+chordal nor chordal"
-    else:
-        cluster_g = Graph(n, sorted(inst.cluster_edges))
-        viol = find_cluster_violation(cluster_g)
-        if viol is not None:
-            raise ValueError(
-                f"cluster-tagged edges are not a cluster graph: induced path {viol}"
-            )
-        chordal_g = Graph(n, sorted(inst.chordal_edges))
-        seen = [False] * n
-        clusters = []
-        for v in range(n):
-            if not seen[v]:
-                comp = frozenset(cluster_g.adj[v] | {v})
-                for u in comp:
-                    seen[u] = True
-                clusters.append(comp)
-        refusal = "chordal-tagged edges do not form a chordal graph"
-    peo = is_chordal(chordal_g)
-    if peo is None:
-        raise ValueError(refusal)
-    return clusters, chordal_g, peo
-
-
 class ClusterChordalEngine:
     """Bounded MWIS on one cluster+chordal instance, for many colorings.
 
@@ -251,7 +207,7 @@ class ClusterChordalEngine:
 
     def __init__(self, inst: WeightedInstance):
         self.inst = inst
-        self.clusters, self.chordal_g, peo = decomposition_parts(inst)
+        self.clusters, self.chordal_g, peo = inst.parts
         self.td = clique_tree_from_peo(self.chordal_g, peo)
         self.cluster_of = [0] * inst.graph.n
         for i, comp in enumerate(self.clusters):
@@ -351,8 +307,8 @@ def mwis_cluster_chordal(
     stats: dict | None = None,
 ) -> Solution:
     """Max-weight independent set with at most ell vertices of a
-    cluster+chordal graph, split as decomposition_parts splits it: along
-    its witness, or into singleton clusters when it has none and is
+    cluster+chordal graph, split as `WeightedInstance.parts` splits it:
+    along its witness, or into singleton clusters when it has none and is
     chordal."""
     _, witness = ClusterChordalEngine(inst).bounded_vector(ell, spec, stats)
     return witness(ell)
@@ -592,9 +548,9 @@ def mwccs_cluster_chordal(
     stats: dict | None = None,
 ) -> Solution:
     """The full pipeline: max-weight c-colorable subgraph with at most ell
-    vertices of a cluster+chordal graph, split as decomposition_parts
+    vertices of a cluster+chordal graph, split as `WeightedInstance.parts`
     splits it; an instance it cannot split is refused before the walk."""
-    decomposition_parts(inst)
+    inst.parts  # raises ValueError on an unwitnessed non-chordal graph
     return mwccs_from_mwis(
         inst, c, ell, ClusterChordalSolver(spec).solve_vector, spec, stats
     )

@@ -10,8 +10,10 @@ Instance format (UTF-8, LF, 1-based vertex ids):
                         class id of multicolored-clique instances)
     e <u> <v> [C|H]     edge, optionally tagged cluster-side / chordal-side
 
-Either every edge is tagged (the tags then witness a cluster+chordal
-decomposition and are validated) or none is.  Writers emit a canonical
+Either every edge is tagged or none is.  Tags witness a cluster+chordal
+decomposition, which ``WeightedInstance`` checks when the parsed instance
+is made; a witness it refuses is a ParseError naming an induced path of
+the C side or an induced cycle of the H side.  Writers emit a canonical
 form: sorted vertices and edges, trailing newline, fully deterministic.
 
 An untagged instance in canonical form (the header, ascending ``w`` lines,
@@ -29,7 +31,6 @@ import re
 import numpy as np
 
 from .graph import Graph, MulticoloredCliqueInstance, Solution, WeightedInstance
-from .recognition import find_cluster_violation, find_hole, is_chordal
 
 
 class ParseError(ValueError):
@@ -110,7 +111,7 @@ def _adjacency(n: int, u, v) -> tuple[frozenset[int], ...]:
 def _instance(graph: Graph, weights: tuple[int, ...], **kw) -> WeightedInstance:
     try:
         return WeightedInstance(graph, weights, **kw)
-    except ValueError as exc:  # the file's total weight is over the bound
+    except ValueError as exc:  # total weight over the bound, or a bad witness
         raise ParseError(str(exc)) from None
 
 
@@ -232,7 +233,7 @@ def parse_instance_text(text: str) -> WeightedInstance:
     if clusters and len(clusters) != n:
         raise ParseError("cl lines must cover every vertex or none")
 
-    inst = _instance(
+    return _instance(
         Graph(n, sorted(edges)),
         tuple(weights.get(v, 1) for v in range(n)),
         colors=tuple(colors[v] for v in range(n)) if colors else None,
@@ -240,23 +241,6 @@ def parse_instance_text(text: str) -> WeightedInstance:
         cluster_edges=cluster_edges,
         chordal_edges=chordal_edges,
     )
-
-    if inst.has_decomposition:
-        cg = Graph(n, sorted(inst.cluster_edges))
-        viol = find_cluster_violation(cg)
-        if viol is not None:
-            a, b, c_ = (x + 1 for x in viol)
-            raise ParseError(
-                f"C-tagged edges are not a cluster graph: induced path {a}-{b}-{c_}"
-            )
-        hg = Graph(n, sorted(inst.chordal_edges))
-        if is_chordal(hg) is None:
-            hole = find_hole(hg)
-            cyc = "-".join(str(v + 1) for v in hole) if hole else "?"
-            raise ParseError(
-                f"H-tagged edges are not chordal: induced cycle {cyc}"
-            )
-    return inst
 
 
 def parse_instance(path) -> WeightedInstance:

@@ -65,22 +65,14 @@ def overlay_cluster_chordal(
 
     Shared edges are tagged onto the chordal side (which keeps that side
     unchanged); the cluster tag then covers only the remaining clique
-    edges, and the overlay is rejected if stripping the shared edges broke
-    the cluster side.
+    edges.  If stripping the shared edges broke the cluster side, the
+    instance refuses its witness with ValueError when it is made.
     """
     if cluster_part.n != chordal_part.n:
         raise ValueError("parts must have the same vertex count")
     n = cluster_part.n
     chordal_edges = frozenset(chordal_part.edges())
     cluster_edges = frozenset(cluster_part.edges()) - chordal_edges
-    from .recognition import find_cluster_violation  # local to avoid cycles
-
-    viol = find_cluster_violation(Graph(n, sorted(cluster_edges)))
-    if viol is not None:
-        raise ValueError(
-            f"overlap breaks the cluster side: induced path {viol}; "
-            "supply edge-disjoint parts"
-        )
     union = sorted(cluster_edges | chordal_edges)
     if weights is None:
         weights = tuple([1] * n)

@@ -10,6 +10,7 @@ only the adjacency sets and never pays for them.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 # Weights are non-negative ints.  Totals must stay below this bound so the
 # DP's int64 arithmetic (including the -inf sentinel) cannot overflow.
@@ -316,9 +317,10 @@ class WeightedInstance:
     an optional edge partition witnessing a cluster+chordal decomposition.
 
     The edge partition, when present, assigns every edge to exactly one
-    side; CLUSTER-tagged edges should form a cluster graph and
-    CHORDAL-tagged edges a chordal graph (recognition checks this, the
-    constructor only checks coverage).
+    side, and the constructor splits the instance along it (``parts``): an
+    instance whose cluster-tagged edges are not a cluster graph, or whose
+    chordal-tagged edges are not chordal, is refused with ValueError when
+    it is made.
     """
 
     graph: Graph
@@ -359,6 +361,7 @@ class WeightedInstance:
                 raise ValueError("edge partition does not cover the edge set")
             if norm_c & norm_h:
                 raise ValueError("edge partition sides must be disjoint")
+            self.parts  # split now, so a witness is checked when it is made
 
     @classmethod
     def unit(cls, graph: Graph, **kw) -> "WeightedInstance":
@@ -367,6 +370,51 @@ class WeightedInstance:
     @property
     def has_decomposition(self) -> bool:
         return self.cluster_edges is not None
+
+    @cached_property
+    def parts(self) -> tuple[list[frozenset[int]], Graph, tuple[int, ...]]:
+        """The cluster reduction's parts: (ordered clusters, chordal-side
+        graph, a perfect elimination ordering of that graph).
+
+        A witnessed instance splits along its edge tags: the clusters are
+        the components of the cluster-tagged edges, singleton vertices
+        included, ordered by smallest member, and the chordal-tagged edges
+        make the chordal side.  An instance without a witness is a chordal
+        graph with singleton clusters, if its graph is chordal.  Raises
+        ValueError, with 1-based vertex ids, when the cluster side is not a
+        cluster graph or the chordal side is not chordal.
+        """
+        from . import recognition  # recognition imports this module
+
+        n = self.graph.n
+        if not self.has_decomposition:
+            peo = recognition.is_chordal(self.graph)
+            if peo is None:
+                raise ValueError(
+                    "instance is neither witnessed cluster+chordal nor chordal"
+                )
+            return [frozenset((v,)) for v in range(n)], self.graph, peo
+        cluster_g = Graph(n, sorted(self.cluster_edges))
+        viol = recognition.find_cluster_violation(cluster_g)
+        if viol is not None:
+            path = "-".join(str(v + 1) for v in viol)
+            raise ValueError(
+                f"C-tagged edges are not a cluster graph: induced path {path}"
+            )
+        chordal_g = Graph(n, sorted(self.chordal_edges))
+        peo = recognition.is_chordal(chordal_g)
+        if peo is None:
+            cycle = "-".join(str(v + 1) for v in recognition.find_hole(chordal_g))
+            raise ValueError(f"H-tagged edges are not chordal: induced cycle {cycle}")
+        seen = [False] * n
+        clusters = []
+        for v in range(n):
+            if not seen[v]:
+                comp = frozenset(cluster_g.adj[v] | {v})
+                for u in comp:
+                    seen[u] = True
+                clusters.append(comp)
+        return clusters, chordal_g, peo
 
     @property
     def num_colors(self) -> int:

@@ -5,6 +5,7 @@ import time
 
 import pytest
 
+from mwccs import recognition
 from mwccs.cli import main
 from mwccs.fileformat import (
     instance_to_text,
@@ -448,6 +449,13 @@ def test_console_script_runs():
     assert "mwccs" in proc.stdout
 
 
+# a C side that is an induced P3, and an H side that is a C4
+BAD_WITNESSES = {
+    "bad-c": "p iki 3 2\ne 1 2 C\ne 2 3 C\n",
+    "bad-h": "p iki 4 4\ne 1 2 H\ne 2 3 H\ne 3 4 H\ne 1 4 H\n",
+}
+
+
 @pytest.fixture
 def front_door_files(tmp_path):
     files = {}
@@ -458,6 +466,10 @@ def front_door_files(tmp_path):
     ):
         path = tmp_path / f"{name}.iki"
         write_instance(inst, path)
+        files[name] = str(path)
+    for name, text in BAD_WITNESSES.items():
+        path = tmp_path / f"{name}.iki"
+        path.write_text(text)
         files[name] = str(path)
     return files
 
@@ -477,14 +489,68 @@ def front_door_files(tmp_path):
         ("mwccs", "non-chordal", ["--c", "2", "--ell", "2", "--mode", "randomized",
                                   "--epsilon", "0"], 64),
         ("mwis", "non-chordal", ["--mode", "randomized", "--epsilon", "0"], 64),
+        ("mwccs", "bad-c", ["--c", "2", "--ell", "2"], 65),
+        ("mwis", "bad-c", ["--ell", "2"], 65),
+        ("mwccs", "bad-h", ["--c", "2", "--ell", "2"], 65),
+        ("mwis", "bad-h", ["--ell", "2"], 65),
     ],
 )
 def test_solve_front_door_exit_codes(problem, kind, args, want, front_door_files, capsys):
-    # usage and --epsilon errors come before the split of the instance
+    # usage and --epsilon errors come before the split of the instance; a
+    # bad witness is refused when the parsed instance is made
     code, out, err = run_cli(["solve", problem, front_door_files[kind], *args], capsys)
     assert code == want, err
     if want == 2:
         assert out == "" and "chordal" in err
+    if want == 65:
+        assert out == "" and ("induced path" in err or "induced cycle" in err)
+
+
+def test_witness_is_split_once(tmp_path, capsys, monkeypatch):
+    # the instance is split when it is made; the front door and the engine
+    # read that split, so the 12-vertex chordal side is checked once
+    path = tmp_path / "o.iki"
+    code, _, err = run_cli(
+        ["generate", "overlay", "--n", "12", "--max-cluster", "2", "--max-clique", "3",
+         "--max-w", "9", "--seed", "1", "-o", str(path)],
+        capsys,
+    )
+    assert code == 0, err
+    inst = parse_instance(path)
+    assert inst.parts is inst.parts
+    sizes = []
+    real = recognition.is_chordal
+
+    def counting(g):
+        sizes.append(g.n)
+        return real(g)
+
+    # every module that holds the function, as well as its home
+    for mod in [m for k, m in sys.modules.items() if k.startswith("mwccs")]:
+        for name, value in list(vars(mod).items()):
+            if value is real:
+                monkeypatch.setattr(mod, name, counting)
+    code, _, err = run_cli(["solve", "mwis", str(path), "--ell", "4"], capsys)
+    assert code == 0, err
+    assert sizes.count(12) == 1
+
+
+@pytest.mark.parametrize(
+    "argv, arg",
+    [
+        (["recognize", "{inst}", "--class", "inductive:x"], "inductive:x"),
+        (["reduce", "indkind:x", "{inst}", "-o", "{out}"], "indkind:x"),
+        (["reduce", "k1kfree:", "{inst}", "-o", "{out}"], "k1kfree:"),
+    ],
+)
+def test_bad_prefix_parameter_is_a_usage_error(argv, arg, tmp_path, capsys):
+    path = tmp_path / "p.iki"
+    write_instance(WeightedInstance.unit(path_graph(3)), path)
+    argv = [a.format(inst=path, out=tmp_path / "out.iki") for a in argv]
+    code, out, err = run_cli(argv, capsys)
+    assert code == 64
+    assert out == "" and err.startswith("usage error: bad ")
+    assert f"parameter in {arg!r}" in err
 
 
 def test_plain_chordal_documents_are_pinned(tmp_path, capsys):

@@ -22,7 +22,6 @@ from mwccs.colorcoding import (
     _greedy_floor,
     _size_partitions,
     _vertex_family,
-    decomposition_parts,
     enumerate_size_partitions,
     mwccs_cluster_chordal,
     mwccs_from_mwis,
@@ -84,12 +83,12 @@ def test_spec_validation():
 
 def test_decomposition_parts():
     inst = random_cluster_chordal_instance(10, 3, 3, 5, seed=1)
-    clusters, chordal_g, peo = decomposition_parts(inst)
+    clusters, chordal_g, peo = inst.parts
     assert sorted(v for comp in clusters for v in comp) == list(range(10))
     assert peo == is_chordal(chordal_g)
     bare = WeightedInstance.unit(cycle_graph(4))
     with pytest.raises(ValueError, match="neither witnessed"):
-        decomposition_parts(bare)
+        bare.parts
 
 
 def test_mwccs_from_mwis_single_color_equals_solver():
@@ -193,7 +192,7 @@ def test_plain_chordal_input_is_split_into_singleton_clusters():
             random_chordal(n, 3, i + 500), tuple(rng.randint(0, 3) for _ in range(n))
         )
         witnessed = _chordal_with_singletons(plain)
-        clusters, chordal_g, _ = decomposition_parts(plain)
+        clusters, chordal_g, _ = plain.parts
         assert clusters == [frozenset((v,)) for v in range(n)]
         assert chordal_g == plain.graph
         c, ell = rng.randint(1, 3), rng.randint(1, 5)
@@ -305,7 +304,7 @@ def test_hash_family_cap():
         cluster_edges=frozenset(g.edges()),
         chordal_edges=frozenset(),
     )
-    assert len(decomposition_parts(inst)[0]) == 18
+    assert len(inst.parts[0]) == 18
     start = time.perf_counter()
     with pytest.raises(SizeCapError, match="627314688 table cells"):
         mwis_cluster_chordal(inst, 8, EX)

@@ -244,6 +244,19 @@ def test_weighted_instance_validation():
             cluster_edges=frozenset([(0, 1)]),
             chordal_edges=frozenset(),
         )
+    # a witness is checked when the instance is made: P3 is not a cluster
+    # graph, C4 is not chordal
+    with pytest.raises(ValueError, match="induced path 1-2-3"):
+        WeightedInstance(
+            g, (1, 1, 1),
+            cluster_edges=frozenset(g.edges()),
+            chordal_edges=frozenset(),
+        )
+    c4 = cycle_graph(4)
+    with pytest.raises(ValueError, match="induced cycle"):
+        WeightedInstance.unit(
+            c4, cluster_edges=frozenset(), chordal_edges=frozenset(c4.edges())
+        )
     inst = WeightedInstance(
         g, (1, 2, 3),
         cluster_edges=frozenset([(0, 1)]),
