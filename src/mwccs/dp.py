@@ -474,11 +474,21 @@ def max_weight_is_chordal(inst: WeightedInstance, peo) -> Solution:
     mark charges its residual to the clique of its vertex and later
     neighbours, the charges on the cliques through any vertex cover its
     weight, and each charged clique holds exactly one kept vertex, so the
-    dual's value equals the kept weight.
+    dual's value equals the kept weight.  Both passes read each marked
+    vertex's row from the view ``prefers_csr`` selects, so a dense graph
+    from the bulk parse never builds its adjacency sets.
     """
     g = inst.graph
     if not verify_peo(g, peo):
         raise ValueError("ordering is not a perfect elimination ordering")
+    if g.prefers_csr:
+        indptr, indices = g.csr
+        ptr = indptr.tolist()
+
+        def row(v):
+            return indices[ptr[v]:ptr[v + 1]].tolist()
+    else:
+        row = g.adj.__getitem__
     residual = list(inst.weights)
     marked: list[int] = []
     dual = 0
@@ -488,11 +498,11 @@ def max_weight_is_chordal(inst: WeightedInstance, peo) -> Solution:
             marked.append(v)
             dual += r
             # only the later neighbours' residuals are read again
-            for u in g.adj[v]:
+            for u in row(v):
                 residual[u] -= r
     kept: set[int] = set()
     for v in reversed(marked):
-        if g.adj[v].isdisjoint(kept):
+        if kept.isdisjoint(row(v)):
             kept.add(v)
 
     sol = Solution(frozenset(kept), inst.weight_of(kept), None)

@@ -1,16 +1,23 @@
 """Core graph representation and the primitive predicates everything else builds on.
 
 Vertices are dense 0-based ids.  Vertex sets cross the public API as
-frozensets.  The bitmask searches below, the cover bound and the oracles
-work on int bitmasks, which ``Graph`` builds per vertex on the first read of
-``mask``; the chordal front end (parse, recognition, chordal MWIS) reads
-only the adjacency sets and never pays for them.
+frozensets.  A ``Graph`` has two views of its edges, each built on first
+read from the other: adjacency sets (``adj``) and CSR arrays (``csr``).
+The chordal front end (recognition, chordal MWIS) runs its whole-graph
+passes on the arrays when ``prefers_csr`` holds, on dense graphs, and on
+the sets everywhere else; ``is_independent`` reads the sets once they are
+built and the arrays' rows before.  The bitmask searches below, the
+cover bound and the oracles work on int bitmasks, which ``Graph`` builds
+per vertex on the first read of ``mask``; the front end never pays for them.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from functools import cached_property
+
+import numpy as np
 
 # Weights are non-negative ints.  Totals must stay below this bound so the
 # DP's int64 arithmetic (including the -inf sentinel) cannot overflow.
@@ -20,6 +27,19 @@ MAX_TOTAL_WEIGHT = 2**53
 # nodes than this: 0.3 s of branching on a 60-vertex path, 1.7 s on a
 # 3000-vertex one (2-vCPU host; a node's cost grows with the mask width).
 MAX_SEARCH_NODES = 1_000_000
+
+# A graph prefers its CSR arrays when 2m >= n * (CSR_MIN_DEGREE + n /
+# CSR_SCAN_VERTICES).  MCS plus the PEO check, sets against arrays (2-vCPU
+# VM, Python 3.11, numpy 2.4), on interval graphs: n=32 and degree 9, 88 /
+# 80 us; n=64, degree 19, 287 / 153 us; n=256, degree 78, 3477 / 1028 us;
+# on chordal graphs of n=4, 5 / 28 us.  The arrays tie near degree 10; the
+# degree bound stays well above that, so graphs of a few dozen vertices,
+# such as the pipelines' class sides, keep the set loops and never pay
+# numpy's per-call cost.  The array MCS scans all n counts per step, hence
+# the n / CSR_SCAN_VERTICES term: a 100k-vertex path took 1.38 s on the
+# arrays against 0.12 s on the sets.
+CSR_MIN_DEGREE = 32
+CSR_SCAN_VERTICES = 256
 
 
 class SizeCapError(RuntimeError):
@@ -62,14 +82,17 @@ def _mask_to_set(mask: int) -> frozenset[int]:
 class Graph:
     """Undirected simple graph over vertex ids {0, ..., n-1}.
 
-    Immutable after construction; safe to share across workers.  The
-    per-vertex bitmasks (``mask``) are built on first read and cached.  Two
-    threads that read them at once may both build them; each stores an
-    equal tuple, so the race is idempotent and sharing stays safe.
-    ``is_chordal`` caches the PEO it verified in ``_peo`` the same way.
+    Immutable after construction; safe to share across workers.  Three
+    views of the edges are built on first read and kept: the adjacency sets
+    (``adj``) unless the graph was made from them, the CSR arrays (``csr``)
+    unless it was made from them, and the per-vertex bitmasks (``mask``).
+    Two threads that read a view at once may both build it; each stores an
+    equal value, so the race is idempotent and sharing stays safe.
+    ``is_chordal`` caches the PEO it verified in ``_peo``, and ``m`` its
+    count of edges, the same way.
     """
 
-    __slots__ = ("n", "adj", "_mask", "_peo")
+    __slots__ = ("n", "_adj", "_csr", "_mask", "_m", "_peo")
 
     def __init__(self, n: int, edges=()):
         if n < 0:
@@ -85,17 +108,65 @@ class Graph:
             adj[u].add(v)
             adj[v].add(u)
         self.n = n
-        self.adj: tuple[frozenset[int], ...] = tuple(frozenset(s) for s in adj)
+        self._adj: tuple[frozenset[int], ...] | None = tuple(frozenset(s) for s in adj)
+        self._csr: tuple[np.ndarray, np.ndarray] | None = None
         self._mask: tuple[int, ...] | None = None
+        self._m: int | None = None
         self._peo: tuple[int, ...] | None = None
 
     @classmethod
-    def _adopt(cls, n: int, adj: tuple[frozenset[int], ...]) -> "Graph":
-        """A graph over adj, whose symmetry, range and lack of self-loops
-        the caller has checked; the bulk parse builds it this way."""
+    def _adopt(cls, n: int, indptr: np.ndarray, indices: np.ndarray) -> "Graph":
+        """A graph over the CSR arrays (indptr, indices), int64, each row
+        strictly ascending, whose symmetry, range and lack of self-loops the
+        caller has checked; the bulk parse builds it this way, without sets."""
         g = cls.__new__(cls)
-        g.n, g.adj, g._mask, g._peo = n, adj, None, None
+        indptr.flags.writeable = indices.flags.writeable = False
+        g.n, g._adj, g._csr, g._m = n, None, (indptr, indices), indices.size // 2
+        g._mask = g._peo = None
         return g
+
+    @property
+    def adj(self) -> tuple[frozenset[int], ...]:
+        """Each vertex's neighbours as a frozenset.  Built from the CSR rows,
+        they iterate as ``Graph(n, sorted(edges))``'s do: that graph adds
+        each vertex's lower neighbours, then its upper ones, both ascending,
+        which is the row's order, and freezes a set, whose table is sized
+        unlike one frozen straight from a list."""
+        adj = self._adj
+        if adj is None:
+            indptr, indices = self._csr
+            ptr, idx = indptr.tolist(), indices.tolist()
+            adj = self._adj = tuple(
+                frozenset(set(idx[a:b])) for a, b in zip(ptr, ptr[1:])
+            )
+        return adj
+
+    @property
+    def csr(self) -> tuple[np.ndarray, np.ndarray]:
+        """(indptr, indices), read-only int64 arrays: vertex v's neighbours
+        are indices[indptr[v]:indptr[v + 1]], strictly ascending."""
+        csr = self._csr
+        if csr is None:
+            rows = [sorted(s) for s in self.adj]
+            indptr = np.zeros(self.n + 1, dtype=np.int64)
+            np.cumsum([len(r) for r in rows], out=indptr[1:])
+            indices = np.fromiter(
+                itertools.chain.from_iterable(rows), dtype=np.int64, count=2 * self.m
+            )
+            indptr.flags.writeable = indices.flags.writeable = False
+            csr = self._csr = (indptr, indices)
+        return csr
+
+    @property
+    def prefers_csr(self) -> bool:
+        """True when the whole-graph passes run faster on ``csr`` than on
+        ``adj``: the graph is large and dense enough (see CSR_MIN_DEGREE).
+        No graph of at most CSR_MIN_DEGREE vertices is, so those never
+        count their edges here."""
+        n = self.n
+        return n > CSR_MIN_DEGREE and (
+            2 * self.m >= n * (CSR_MIN_DEGREE + n / CSR_SCAN_VERTICES)
+        )
 
     @property
     def mask(self) -> tuple[int, ...]:
@@ -107,10 +178,14 @@ class Graph:
 
     @property
     def m(self) -> int:
-        return sum(len(s) for s in self.adj) // 2
+        m = self._m
+        if m is None:
+            m = self._m = sum(map(len, self._adj)) // 2
+        return m
 
     def edges(self) -> list[tuple[int, int]]:
-        return [(u, v) for u in range(self.n) for v in self.adj[u] if u < v]
+        adj = self.adj
+        return [(u, v) for u in range(self.n) for v in adj[u] if u < v]
 
     def has_edge(self, u: int, v: int) -> bool:
         return v in self.adj[u]
@@ -147,10 +222,11 @@ def induced_subgraph(g: Graph, s) -> tuple[Graph, tuple[int, ...]]:
     if verts and not (0 <= verts[0] and verts[-1] < g.n):
         raise ValueError("vertex set out of range")
     index = {v: i for i, v in enumerate(verts)}
+    adj = g.adj
     edges = [
         (index[u], index[v])
         for u in verts
-        for v in g.adj[u]
+        for v in adj[u]
         if u < v and v in index
     ]
     return Graph(len(verts), edges), tuple(verts)
@@ -162,7 +238,15 @@ def is_independent(g: Graph, s) -> bool:
     for v in verts:
         if not 0 <= v < g.n:
             raise ValueError(f"vertex {v} out of range")
-    adj = g.adj
+    adj = g._adj
+    if adj is None:
+        # a graph adopted from CSR arrays whose sets nothing has read: the
+        # rows of s cost less than building every set.  Once the sets are
+        # built they win, as in the colorful DP's one call per bag subset
+        indptr, indices = g.csr
+        inside = np.zeros(g.n, dtype=bool)
+        inside[list(verts)] = True
+        return not any(inside[indices[indptr[v]:indptr[v + 1]]].any() for v in verts)
     return all(adj[v].isdisjoint(verts) for v in verts)
 
 

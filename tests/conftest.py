@@ -45,9 +45,39 @@ def petersen_graph() -> Graph:
     return Graph(10, outer + inner + spokes)
 
 
+def interval_graph(n: int, span: float, seed: int) -> Graph:
+    """The intersection graph of n random intervals of length at most span
+    in [0, 1 + span)."""
+    rng = random.Random(seed)
+    ivs = [(a, a + span * rng.random()) for a in (rng.random() for _ in range(n))]
+    return Graph(n, [
+        (u, v)
+        for u in range(n)
+        for v in range(u + 1, n)
+        if ivs[u][0] <= ivs[v][1] and ivs[v][0] <= ivs[u][1]
+    ])
+
+
+def cluster_graph(sizes) -> Graph:
+    """Disjoint cliques of the given sizes, on consecutive ids."""
+    edges, start = [], 0
+    for size in sizes:
+        edges += itertools.combinations(range(start, start + size), 2)
+        start += size
+    return Graph(start, edges)
+
+
 @pytest.fixture
 def k3():
     return complete_graph(3)
+
+
+@pytest.fixture(params=[False, True], ids=["sets", "csr"])
+def forced_view(request, monkeypatch):
+    """Force Graph.prefers_csr each way, so that the set loops and the CSR
+    loops both run whatever a graph's density."""
+    monkeypatch.setattr(Graph, "prefers_csr", property(lambda g: request.param))
+    return request.param
 
 
 def disjoint_union(a: Graph, b: Graph) -> Graph:

@@ -21,7 +21,7 @@ from mwccs.generators import (
 from mwccs.graph import Graph, WeightedInstance
 from mwccs.oracle import brute_mwccs, brute_mwis
 
-from conftest import cycle_graph, path_graph
+from conftest import cycle_graph, interval_graph, path_graph
 
 
 def run_cli(args, capsys):
@@ -152,6 +152,28 @@ def test_solve_mwis_direct_builds_no_mask(tmp_path, capsys, monkeypatch):
     sol, _ = parse_solution_text(out)
     monkeypatch.undo()
     assert sol.weight == brute_mwis(inst).weight
+
+
+def test_solve_mwis_on_a_dense_bulk_parse_builds_no_sets(tmp_path, capsys, monkeypatch):
+    from mwccs import fileformat
+
+    parsed = []
+    parse = fileformat.parse_instance_text
+    monkeypatch.setattr(
+        fileformat, "parse_instance_text", lambda text: parsed.append(parse(text)) or parsed[-1]
+    )
+    inst = random_weights(WeightedInstance.unit(interval_graph(200, 0.4, 2)), 50, seed=3)
+    path = tmp_path / "dense.iki"
+    write_instance(inst, path)
+    code, out, err = run_cli(["solve", "mwis", str(path)], capsys)
+    assert code == 0, err
+    (got,) = parsed
+    assert got.graph.prefers_csr
+    assert got.graph._adj is None and got.graph._mask is None
+    # the line loop parses a commented copy, into sets, to the same document
+    commented = tmp_path / "commented.iki"
+    commented.write_text("c note\n" + path.read_text())
+    assert run_cli(["solve", "mwis", str(commented)], capsys) == (0, out, "")
 
 
 def test_solve_colorful_refuses_color_30(tmp_path, capsys):

@@ -24,7 +24,7 @@ from mwccs.treedecomp import (
     verify_tree_decomposition,
 )
 
-from conftest import complete_graph, cycle_graph, path_graph
+from conftest import complete_graph, cycle_graph, interval_graph, path_graph
 
 
 def _clique_tree(g):
@@ -387,6 +387,26 @@ def test_chordal_mwis_requires_peo():
     inst = WeightedInstance(path_graph(3), (1, 1, 1))
     with pytest.raises(ValueError):
         max_weight_is_chordal(inst, (1, 0, 2))
+
+
+# the witnesses the set loops gave before the CSR view existed
+_PINNED_DENSE_MWIS = [
+    {17, 21, 42, 47, 54, 58, 62, 79, 84, 101, 108, 114, 118},
+    {1, 4, 6, 17, 21, 45, 53, 62, 89, 90, 92, 101, 118, 129, 145, 160, 174, 186, 193, 198},
+]
+
+
+def test_chordal_mwis_on_both_views(forced_view):
+    # the set rows and the CSR rows give one witness; on the dense graphs
+    # the dual check inside certifies it optimal
+    test_chordal_mwis_examples()
+    test_chordal_mwis_matches_oracle()
+    test_chordal_mwis_requires_peo()
+    for seed, (n, span) in enumerate([(120, 0.4), (200, 0.3)]):
+        g = interval_graph(n, span, seed)
+        inst = WeightedInstance(g, tuple(random.Random(seed).choices(range(4), k=n)))
+        sol = max_weight_is_chordal(inst, is_chordal(g))
+        assert sol.vertices == _PINNED_DENSE_MWIS[seed]
 
 
 def test_colorful_dp_refuses_tables_past_the_cell_cap():

@@ -1,5 +1,6 @@
 import random
 
+import numpy as np
 import pytest
 
 from mwccs import fileformat
@@ -19,6 +20,8 @@ from mwccs.generators import (
     random_weights,
 )
 from mwccs.graph import Graph, Solution, WeightedInstance
+
+from conftest import interval_graph
 
 
 def test_header_only():
@@ -108,8 +111,15 @@ def _generator_instances():
         yield random_weights(WeightedInstance.unit(Graph(n, edges)), 50, seed)
 
 
+def _dense_instance():
+    g = interval_graph(150, 0.5, 11)
+    assert g.prefers_csr
+    return random_weights(WeightedInstance.unit(g), 50, 11)
+
+
 def test_canonical_text_parses_like_the_line_loop():
     cases = [(instance_to_text(inst), inst) for inst in _generator_instances()]
+    cases.append((instance_to_text(_dense_instance()), _dense_instance()))
     # accepted but not canonical: unsorted edges, a leading zero, w out of order
     cases += [
         ("p iki 3 2\ne 2 3\ne 1 2\n", None),
@@ -124,6 +134,23 @@ def test_canonical_text_parses_like_the_line_loop():
         assert [list(s) for s in bulk.graph.adj] == [list(s) for s in loop.graph.adj]
         if inst is not None and not inst.has_decomposition:
             assert bulk == inst and fileformat._parse_canonical(text) is not None
+
+
+def test_both_parses_give_one_csr():
+    # the bulk parse hands its arrays to the graph; the line loop's graph
+    # builds them from its sets
+    for inst in [*_generator_instances(), _dense_instance()]:
+        text = instance_to_text(inst)
+        bulk = parse_instance_text(text).graph
+        loop = parse_instance_text("c note\n" + text).graph
+        if not inst.has_decomposition:
+            assert bulk._adj is None and bulk._csr is not None
+        assert loop._csr is None
+        (bptr, bidx), (lptr, lidx) = bulk.csr, loop.csr
+        assert bptr.dtype == bidx.dtype == np.int64
+        assert np.array_equal(bptr, lptr) and np.array_equal(bidx, lidx)
+        for a, b in zip(bptr.tolist(), bptr.tolist()[1:]):
+            assert (np.diff(bidx[a:b]) > 0).all()
 
 
 def _parity(text):

@@ -1,6 +1,7 @@
 import itertools
 import random
 
+import numpy as np
 import pytest
 
 from mwccs.graph import (
@@ -23,8 +24,10 @@ from mwccs.graph import (
 )
 
 from conftest import (
+    cluster_graph,
     complete_graph,
     cycle_graph,
+    interval_graph,
     mixed_graphs,
     path_graph,
     random_graph,
@@ -62,6 +65,63 @@ def test_masks_are_built_on_first_read():
     assert g._mask is None
     assert g.mask == tuple(sum(1 << u for u in g.adj[v]) for v in range(g.n))
     assert g.mask is g.mask
+
+
+def _reference_is_independent(g, s):
+    return not any(g.has_edge(u, v) for u, v in itertools.combinations(s, 2))
+
+
+def test_is_independent_matches_reference():
+    # each graph, and a copy adopted from its CSR arrays, which is_independent
+    # reads without building the sets
+    rng = random.Random(6)
+    verdicts = {True: 0, False: 0}
+    dense = [interval_graph(120, 0.4, 7), cluster_graph([70, 1, 50])]
+    for g in [*mixed_graphs(150, seed=23), *dense]:
+        adopted = Graph._adopt(g.n, *g.csr)
+        for _ in range(8):
+            s = rng.sample(range(g.n), rng.randint(0, min(g.n, 5)))
+            want = _reference_is_independent(g, s)
+            for h in (g, adopted):
+                assert is_independent(h, s) == want
+                assert is_independent(h, iter(s + s)) == want  # repeats are one vertex
+            verdicts[want] += 1
+        assert adopted._adj is None
+    assert min(verdicts.values()) > 300
+    for g in (path_graph(3), Graph._adopt(3, *path_graph(3).csr)):
+        with pytest.raises(ValueError, match="out of range"):
+            is_independent(g, [0, g.n])
+        with pytest.raises(ValueError, match="out of range"):
+            is_independent(g, [-1])
+
+
+def test_csr_view_matches_the_sets():
+    for g in [*mixed_graphs(60, seed=3), interval_graph(120, 0.4, 7)]:
+        indptr, indices = g.csr
+        assert indptr.dtype == indices.dtype == np.int64
+        assert not indptr.flags.writeable and not indices.flags.writeable
+        rows = [indices[a:b].tolist() for a, b in zip(indptr, indptr[1:])]
+        assert rows == [sorted(s) for s in g.adj]
+        assert g.csr is g.csr and indices.size == 2 * g.m
+
+
+def test_adopted_graph_builds_its_sets_on_first_read():
+    want = interval_graph(80, 0.4, 9)
+    g = Graph._adopt(want.n, *want.csr)
+    assert g._adj is None and g.m == want.m
+    # rows ascend, which is the insertion order of Graph(n, sorted(edges))
+    assert [list(s) for s in g.adj] == [list(s) for s in want.adj]
+    assert g == want and g.adj is g.adj
+
+
+def test_prefers_csr_on_large_dense_graphs_only():
+    assert interval_graph(200, 0.4, 2).prefers_csr
+    assert complete_graph(60).prefers_csr
+    assert not complete_graph(33).prefers_csr  # degree 32, under 32 + 33/256
+    assert not Graph(0).prefers_csr and not Graph(5000).prefers_csr
+    # cliques of 41: degree 40 passes 32 + 328/256 but not 32 + 2583/256
+    assert cluster_graph([41] * 8).prefers_csr
+    assert not cluster_graph([41] * 63).prefers_csr
 
 
 def test_neighborhood():

@@ -28,9 +28,11 @@ from mwccs.generators import random_chordal
 from mwccs.treedecomp import clique_tree_from_peo
 
 from conftest import (
+    cluster_graph,
     complete_bipartite,
     complete_graph,
     cycle_graph,
+    interval_graph,
     mixed_graphs,
     path_graph,
     petersen_graph,
@@ -362,3 +364,63 @@ def test_mcs_matches_bucket_reference():
     assert 300 < chordal < 600
     big = complete_graph(300)
     assert maximum_cardinality_search(big) == _reference_mcs(big) == tuple(range(300))
+
+
+def test_array_loops_match_the_references(monkeypatch):
+    # the tests above run the set loops on their small graphs; forced onto
+    # the CSR arrays, they check the array loops against the same
+    # references, non-permutations and the _peo memo included
+    monkeypatch.setattr(Graph, "prefers_csr", property(lambda g: True))
+    test_mcs_and_peo_basics()
+    test_peo_memo_leaves_other_orderings_to_the_full_check(monkeypatch)
+    test_mcs_matches_bucket_reference()
+    test_verify_peo_matches_quadratic_reference()
+
+
+def _dense_graphs():
+    """(graph, chordal?) pairs of dense graphs."""
+    yield interval_graph(100, 0.5, 1), True
+    yield interval_graph(200, 0.4, 2), True
+    yield interval_graph(300, 0.3, 3), True
+    yield cluster_graph([100, 1, 60, 99, 40]), True
+    # an interval graph less one edge that closes a hole
+    g = interval_graph(150, 0.5, 4)
+    yield Graph(g.n, g.edges()[:-1]), False
+
+
+@pytest.mark.parametrize("on_sets", [False, True], ids=["arrays", "sets"])
+def test_dense_graphs_match_the_references(on_sets, monkeypatch):
+    # dense graphs select the arrays; forced onto the set loops, they check
+    # those on dense graphs too
+    graphs = list(_dense_graphs())
+    assert all(g.prefers_csr for g, _ in graphs)
+    if on_sets:
+        monkeypatch.setattr(Graph, "prefers_csr", property(lambda g: False))
+    rng = random.Random(5)
+    verdicts = {True: 0, False: 0}
+    for g, chordal in graphs:
+        mcs = maximum_cardinality_search(g)
+        assert mcs == _reference_mcs(g)
+        peo = mcs[::-1]
+        # an MCS order, it with its ends swapped, and a random order
+        orders = [peo, peo[-1:] + peo[1:-1] + peo[:1], tuple(rng.sample(range(g.n), g.n))]
+        for order in orders:
+            want = _reference_verify_peo(g, order)
+            assert verify_peo(g, order) == want
+            # the binary search that replaces the pair matrix on large graphs
+            with monkeypatch.context() as patch:
+                patch.setattr(recognition, "_PAIR_MATRIX_CELLS", 0)
+                assert verify_peo(g, order) == want
+            verdicts[want] += 1
+        assert (is_chordal(g) is not None) == chordal
+    assert min(verdicts.values()) >= 4
+
+
+def test_mcs_is_the_identity_on_many_components():
+    # every pick is the lowest id of a large bucket
+    assert maximum_cardinality_search(Graph(20000)) == tuple(range(20000))
+    triangles = cluster_graph([3] * 5000)
+    assert not triangles.prefers_csr
+    assert maximum_cardinality_search(triangles) == tuple(range(15000))
+    star = Graph(20001, [(0, v) for v in range(1, 20001)])
+    assert maximum_cardinality_search(star) == tuple(range(20001))
