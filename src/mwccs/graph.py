@@ -85,14 +85,15 @@ class Graph:
     Immutable after construction; safe to share across workers.  Three
     views of the edges are built on first read and kept: the adjacency sets
     (``adj``) unless the graph was made from them, the CSR arrays (``csr``)
-    unless it was made from them, and the per-vertex bitmasks (``mask``).
+    unless it was made from them (``_adopt``, which gives an
+    ``_AdoptedGraph``), and the per-vertex bitmasks (``mask``).
     Two threads that read a view at once may both build it; each stores an
     equal value, so the race is idempotent and sharing stays safe.
     ``is_chordal`` caches the PEO it verified in ``_peo``, and ``m`` its
     count of edges, the same way.
     """
 
-    __slots__ = ("n", "_adj", "_csr", "_mask", "_m", "_peo")
+    __slots__ = ("n", "adj", "_csr", "_mask", "_m", "_peo")
 
     def __init__(self, n: int, edges=()):
         if n < 0:
@@ -108,38 +109,23 @@ class Graph:
             adj[u].add(v)
             adj[v].add(u)
         self.n = n
-        self._adj: tuple[frozenset[int], ...] | None = tuple(frozenset(s) for s in adj)
+        self.adj: tuple[frozenset[int], ...] = tuple(frozenset(s) for s in adj)
         self._csr: tuple[np.ndarray, np.ndarray] | None = None
         self._mask: tuple[int, ...] | None = None
         self._m: int | None = None
         self._peo: tuple[int, ...] | None = None
 
-    @classmethod
-    def _adopt(cls, n: int, indptr: np.ndarray, indices: np.ndarray) -> "Graph":
+    @staticmethod
+    def _adopt(n: int, indptr: np.ndarray, indices: np.ndarray) -> "Graph":
         """A graph over the CSR arrays (indptr, indices), int64, each row
         strictly ascending, whose symmetry, range and lack of self-loops the
-        caller has checked; the bulk parse builds it this way, without sets."""
-        g = cls.__new__(cls)
+        caller has checked; the bulk parse builds it this way, without sets.
+        It is an ``_AdoptedGraph``, which builds them on first read."""
+        g = _AdoptedGraph.__new__(_AdoptedGraph)
         indptr.flags.writeable = indices.flags.writeable = False
-        g.n, g._adj, g._csr, g._m = n, None, (indptr, indices), indices.size // 2
+        g.n, g._csr, g._m = n, (indptr, indices), indices.size // 2
         g._mask = g._peo = None
         return g
-
-    @property
-    def adj(self) -> tuple[frozenset[int], ...]:
-        """Each vertex's neighbours as a frozenset.  Built from the CSR rows,
-        they iterate as ``Graph(n, sorted(edges))``'s do: that graph adds
-        each vertex's lower neighbours, then its upper ones, both ascending,
-        which is the row's order, and freezes a set, whose table is sized
-        unlike one frozen straight from a list."""
-        adj = self._adj
-        if adj is None:
-            indptr, indices = self._csr
-            ptr, idx = indptr.tolist(), indices.tolist()
-            adj = self._adj = tuple(
-                frozenset(set(idx[a:b])) for a, b in zip(ptr, ptr[1:])
-            )
-        return adj
 
     @property
     def csr(self) -> tuple[np.ndarray, np.ndarray]:
@@ -180,12 +166,11 @@ class Graph:
     def m(self) -> int:
         m = self._m
         if m is None:
-            m = self._m = sum(map(len, self._adj)) // 2
+            m = self._m = sum(map(len, self.adj)) // 2
         return m
 
     def edges(self) -> list[tuple[int, int]]:
-        adj = self.adj
-        return [(u, v) for u in range(self.n) for v in adj[u] if u < v]
+        return [(u, v) for u in range(self.n) for v in self.adj[u] if u < v]
 
     def has_edge(self, u: int, v: int) -> bool:
         return v in self.adj[u]
@@ -205,6 +190,47 @@ class Graph:
         return f"Graph(n={self.n}, m={self.m})"
 
 
+# Graph's ``adj`` slot: reading it raises AttributeError while it is unset
+_adj_slot = Graph.adj
+
+
+def _has_sets(g: Graph) -> bool:
+    """Whether g's adjacency sets are built; never builds them."""
+    try:
+        _adj_slot.__get__(g)
+    except AttributeError:
+        return False
+    return True
+
+
+class _AdoptedGraph(Graph):
+    """A Graph adopted from CSR arrays.  Its ``adj`` slot stays unset until
+    the first read, which lands in ``__getattr__`` and builds the sets from
+    the rows.  A class of its own keeps that hook off plain graphs: on
+    Python 3.11 a class with ``__getattr__`` loses the specialised slot
+    read, about 25 ns more per read of ``adj``.
+
+    The sets iterate as ``Graph(n, sorted(edges))``'s do: that graph adds
+    each vertex's lower neighbours, then its upper ones, both ascending,
+    which is the row's order, and freezes a set, whose table is sized unlike
+    one frozen straight from a list.
+    """
+
+    __slots__ = ()
+
+    def __getattr__(self, name: str):
+        # plain lookup failed: for adj, the slot is unset
+        if name != "adj":
+            raise AttributeError(
+                f"{type(self).__name__!r} object has no attribute {name!r}"
+            )
+        indptr, indices = self._csr
+        ptr, idx = indptr.tolist(), indices.tolist()
+        adj = tuple(frozenset(set(idx[a:b])) for a, b in zip(ptr, ptr[1:]))
+        self.adj = adj
+        return adj
+
+
 def neighborhood(g: Graph, v: int, closed: bool = False) -> frozenset[int]:
     """Open neighborhood N(v), or N[v] = N(v) + {v} when closed is set."""
     if not 0 <= v < g.n:
@@ -222,11 +248,10 @@ def induced_subgraph(g: Graph, s) -> tuple[Graph, tuple[int, ...]]:
     if verts and not (0 <= verts[0] and verts[-1] < g.n):
         raise ValueError("vertex set out of range")
     index = {v: i for i, v in enumerate(verts)}
-    adj = g.adj
     edges = [
         (index[u], index[v])
         for u in verts
-        for v in adj[u]
+        for v in g.adj[u]
         if u < v and v in index
     ]
     return Graph(len(verts), edges), tuple(verts)
@@ -238,16 +263,22 @@ def is_independent(g: Graph, s) -> bool:
     for v in verts:
         if not 0 <= v < g.n:
             raise ValueError(f"vertex {v} out of range")
-    adj = g._adj
-    if adj is None:
-        # a graph adopted from CSR arrays whose sets nothing has read: the
-        # rows of s cost less than building every set.  Once the sets are
-        # built they win, as in the colorful DP's one call per bag subset
-        indptr, indices = g.csr
-        inside = np.zeros(g.n, dtype=bool)
-        inside[list(verts)] = True
-        return not any(inside[indices[indptr[v]:indptr[v + 1]]].any() for v in verts)
+    if type(g) is _AdoptedGraph and not _has_sets(g):
+        return _independent_on_rows(g, verts)
+    adj = g.adj
     return all(adj[v].isdisjoint(verts) for v in verts)
+
+
+def _independent_on_rows(g: Graph, verts: frozenset[int]) -> bool:
+    """is_independent on a graph adopted from CSR arrays whose sets nothing
+    has read: the rows of verts cost less than building every set.  Once the
+    sets are built they win, as in the colorful DP's one call per bag subset.
+    A function of its own keeps the closure cells of its generator out of
+    every is_independent call, about 70 ns each."""
+    indptr, indices = g.csr
+    inside = np.zeros(g.n, dtype=bool)
+    inside[list(verts)] = True
+    return not any(inside[indices[indptr[v]:indptr[v + 1]]].any() for v in verts)
 
 
 def find_independent_subset(g: Graph, s, size: int) -> frozenset[int] | None:

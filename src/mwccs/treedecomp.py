@@ -91,8 +91,7 @@ def clique_tree_from_peo(g: Graph, peo) -> TreeDecomposition:
     pos = [0] * n
     for i, v in enumerate(order):
         pos[v] = i
-    adj = g.adj
-    later = [[u for u in adj[v] if pos[u] > i] for i, v in enumerate(order)]
+    later = [[u for u in g.adj[v] if pos[u] > i] for i, v in enumerate(order)]
     up = [min(pos[u] for u in lv) if lv else i + 1 for i, lv in enumerate(later)]
 
     owner = [-1] * n
@@ -138,8 +137,7 @@ def verify_tree_decomposition(g: Graph, td: TreeDecomposition) -> bool:
                 components[v] -= 1
     if any(k != 1 for k in components):
         return False
-    adj = g.adj
-    return all(u in bags[top[v]] for u in range(n) for v in adj[u] - bags[top[u]])
+    return all(u in bags[top[v]] for u in range(n) for v in g.adj[u] - bags[top[u]])
 
 
 def normalize_binary(td: TreeDecomposition) -> TreeDecomposition:

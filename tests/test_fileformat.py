@@ -19,7 +19,7 @@ from mwccs.generators import (
     random_cluster_chordal_instance,
     random_weights,
 )
-from mwccs.graph import Graph, Solution, WeightedInstance
+from mwccs.graph import Graph, Solution, WeightedInstance, _has_sets
 
 from conftest import interval_graph
 
@@ -144,7 +144,7 @@ def test_both_parses_give_one_csr():
         bulk = parse_instance_text(text).graph
         loop = parse_instance_text("c note\n" + text).graph
         if not inst.has_decomposition:
-            assert bulk._adj is None and bulk._csr is not None
+            assert not _has_sets(bulk) and bulk._csr is not None
         assert loop._csr is None
         (bptr, bidx), (lptr, lidx) = bulk.csr, loop.csr
         assert bptr.dtype == bidx.dtype == np.int64

@@ -1,4 +1,6 @@
+import copy
 import itertools
+import pickle
 import random
 
 import numpy as np
@@ -13,6 +15,7 @@ from mwccs.graph import (
     Solution,
     ValidationError,
     WeightedInstance,
+    _has_sets,
     find_independent_subset,
     independence_bounded,
     induced_subgraph,
@@ -86,7 +89,7 @@ def test_is_independent_matches_reference():
                 assert is_independent(h, s) == want
                 assert is_independent(h, iter(s + s)) == want  # repeats are one vertex
             verdicts[want] += 1
-        assert adopted._adj is None
+        assert not _has_sets(adopted)
     assert min(verdicts.values()) > 300
     for g in (path_graph(3), Graph._adopt(3, *path_graph(3).csr)):
         with pytest.raises(ValueError, match="out of range"):
@@ -108,10 +111,18 @@ def test_csr_view_matches_the_sets():
 def test_adopted_graph_builds_its_sets_on_first_read():
     want = interval_graph(80, 0.4, 9)
     g = Graph._adopt(want.n, *want.csr)
-    assert g._adj is None and g.m == want.m
+    assert not _has_sets(g) and g.m == want.m
+    with pytest.raises(AttributeError, match="no attribute 'nope'"):
+        g.nope
+    assert not _has_sets(g)
     # rows ascend, which is the insertion order of Graph(n, sorted(edges))
     assert [list(s) for s in g.adj] == [list(s) for s in want.adj]
-    assert g == want and g.adj is g.adj
+    assert g == want and g.adj is g.adj and _has_sets(g)
+    # copy and pickle restore an adopted graph, its sets built or not
+    for make in (copy.copy, lambda h: pickle.loads(pickle.dumps(h))):
+        for h in (g, Graph._adopt(want.n, *want.csr)):
+            twin = make(h)
+            assert twin == want and twin.m == want.m
 
 
 def test_prefers_csr_on_large_dense_graphs_only():

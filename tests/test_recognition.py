@@ -407,7 +407,7 @@ def test_dense_graphs_match_the_references(on_sets, monkeypatch):
         for order in orders:
             want = _reference_verify_peo(g, order)
             assert verify_peo(g, order) == want
-            # the binary search that replaces the pair matrix on large graphs
+            # past the pair matrix's cells, the set loop checks the order
             with monkeypatch.context() as patch:
                 patch.setattr(recognition, "_PAIR_MATRIX_CELLS", 0)
                 assert verify_peo(g, order) == want
