@@ -16,11 +16,11 @@ probability at least 1 - epsilon, always returning a feasible set.  Either
 family is refused when it is made if it holds more than FAMILY_CAP (2^24)
 colorings, unless a trial cap bounds the randomized draws.
 
-The cluster reduction is exact in both modes within the DP's MAX_CELLS
-budget: an answer holds at most ell clusters, so one DP run per k-subset of
-the d clusters (colors 1..k, the rest excluded with color 0) finds it, at
-C(d, k) x selections x 2^k table cells.  Over the budget EXHAUSTIVE refuses
-and RANDOMIZED draws the randomized family of cluster colorings.
+The cluster reduction is exact in both modes within MAX_CELLS and
+MAX_RUN_SELECTIONS: an answer holds at most ell clusters, so one DP run per
+k-subset of the d clusters (colors 1..k, the rest color 0, excluded) finds
+it, at C(d, k) runs x selections x 2^k table cells.  Over either budget
+EXHAUSTIVE refuses and RANDOMIZED draws cluster colorings, within both.
 
 The subgraph reduction keeps the first coloring, in family order, that
 reaches the heaviest weight.  Its answer holds at most ell vertices and at
@@ -58,6 +58,9 @@ from .graph import (
 from .treedecomp import clique_tree_from_peo
 
 FAMILY_CAP = 1 << 24  # cap on a family's colorings, enumerated or drawn
+# cap on an inner family's DP runs x selections: each run pays a fixed
+# Python cost per selection, 4-6 us on a 2-vCPU VM, so about 2-3 s at the cap
+MAX_RUN_SELECTIONS = 1 << 19
 IDENTITY_COLOR_CAP = 12  # clusters used directly as colors up to this count
 
 
@@ -228,7 +231,7 @@ class ClusterChordalEngine:
         (weights, witness): weights[b] is the weight of an optimal
         independent set of at most b vertices and witness(b) builds one
         (exact unless RANDOMIZED mode draws its family because the exact
-        one exceeds MAX_CELLS).
+        one exceeds MAX_CELLS or MAX_RUN_SELECTIONS).
 
         Runs are compared on their root tables.  At each bound the first
         run in family order that reaches the heaviest weight wins, with its
@@ -247,24 +250,31 @@ class ClusterChordalEngine:
         # k-subset of the clusters holds all of them once k >= min(d, ell);
         # with k = d the cluster ids are the colors and one run is exact
         size = d if d <= IDENTITY_COLOR_CAP or d <= ell else ell
-        cells = math.comb(d, size) * self.dp.num_sels << size
-        if cells <= MAX_CELLS:
+        runs, sels = math.comb(d, size), self.dp.num_sels
+        cells = runs * sels << size
+        over = None  # the cost past the first budget the exact family is over
+        if cells > MAX_CELLS:
+            over = (f"{cells} table cells (C({d}, {size}) cluster subsets x {sels} "
+                    f"selections x 2^{size} color sets); cap is {MAX_CELLS}")
+        elif runs * sels > MAX_RUN_SELECTIONS:
+            over = (f"{runs} DP runs (C({d}, {size}) cluster subsets) x {sels} "
+                    f"selections; cap is {MAX_RUN_SELECTIONS}")
+        if over is None:
             family = _subset_colorings(d, size)
         elif spec.mode == Mode.EXHAUSTIVE:
-            raise SizeCapError(
-                f"exact inner query needs {cells} table cells (C({d}, {size}) "
-                f"cluster subsets x {self.dp.num_sels} selections x 2^{size} "
-                f"color sets); cap is {MAX_CELLS}; use randomized mode"
-            )
-        elif self.dp.num_sels << ell > MAX_CELLS:
+            raise SizeCapError(f"exact inner query needs {over}; use randomized mode")
+        elif sels << ell > MAX_CELLS:
             # priced before the family's base e^ell, which may pass the
             # float range
             raise SizeCapError(
-                f"randomized inner query needs {self.dp.num_sels} selections x "
+                f"randomized inner query needs {sels} selections x "
                 f"2^{ell} color sets per run; cap is {MAX_CELLS} table cells"
             )
         else:
-            _, family = _colorings(d, ell, math.e**ell, spec)
+            draws, family = _colorings(d, ell, math.e**ell, spec)
+            if draws * sels > MAX_RUN_SELECTIONS:
+                raise SizeCapError(f"randomized inner query draws {draws} DP runs x "
+                                   f"{sels} selections; cap is {MAX_RUN_SELECTIONS}")
         weights = [0] * (ell + 1)
         # per bound: (coloring, C, sel) of the first run in family order that
         # reaches the bound's weight, or None for the empty set
@@ -309,7 +319,8 @@ def mwis_cluster_chordal(
     """Max-weight independent set with at most ell vertices of a
     cluster+chordal graph, split as `WeightedInstance.parts` splits it:
     along its witness, or into singleton clusters when it has none and is
-    chordal."""
+    chordal.  An answer holds at most n vertices, so a budget past n is n."""
+    ell = min(ell, inst.graph.n)
     _, witness = ClusterChordalEngine(inst).bounded_vector(ell, spec, stats)
     return witness(ell)
 
@@ -319,9 +330,9 @@ class ClusterChordalSolver:
     bound of a color class with one engine sweep.
 
     Inner queries follow `ClusterChordalEngine.bounded_vector`: exact within
-    MAX_CELLS, where the k-subset family costs C(d, k) x selections x 2^k
-    cells; over it a randomized run draws the randomized family with the
-    caller's epsilon and an exhaustive run is refused.
+    MAX_CELLS and MAX_RUN_SELECTIONS; over either a randomized run draws the
+    randomized family with the caller's epsilon and an exhaustive run is
+    refused.
     """
 
     def __init__(self, spec: ColoringFamilySpec):
@@ -523,6 +534,7 @@ def mwccs_from_mwis(
     gains "trials" (the family's size, walked or not) and "skipped"
     (colorings ruled out by the weight bound or never walked).
     """
+    ell = min(ell, inst.graph.n)  # a first heaviest split fills no class past its size
     size, family = _vertex_family(inst, c, ell, spec)
     class_vector = _class_vector_fn(inst, ell, class_solver)
     # an exhaustive walk is exact, so its answer reaches any feasible weight;

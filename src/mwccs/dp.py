@@ -476,7 +476,7 @@ def max_weight_is_chordal(inst: WeightedInstance, peo) -> Solution:
     weight, and each charged clique holds exactly one kept vertex, so the
     dual's value equals the kept weight.  Both passes read each marked
     vertex's row from the view ``prefers_csr`` selects, so a dense graph
-    from the bulk parse never builds its adjacency sets.
+    read from a file never builds its adjacency sets.
     """
     g = inst.graph
     if not verify_peo(g, peo):

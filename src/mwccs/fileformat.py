@@ -18,10 +18,11 @@ form: sorted vertices and edges, trailing newline, fully deterministic.
 
 An untagged instance in canonical form (the header, ascending ``w`` lines,
 then ``e u v`` lines ascending with u < v; single spaces, plain ASCII ids,
-LF ends) is parsed in bulk: its lines are scanned as bytes with numpy, and
-the graph's CSR arrays are built from the checked id arrays; no adjacency
-set is built until something reads one.  Every other text, faulty ones
-included, takes the line loop, which reports each fault with its line.
+LF ends) is parsed in bulk: its lines are scanned as bytes with numpy.
+Every other text, faulty ones included, takes the line loop, which reports
+each fault with its line.  Both hand the checked edges to the graph as CSR
+arrays, and no adjacency set is built until something reads one.  A header
+of more than MAX_VERTICES vertices is refused with SizeCapError up front.
 """
 
 from __future__ import annotations
@@ -30,7 +31,11 @@ import re
 
 import numpy as np
 
-from .graph import Graph, MulticoloredCliqueInstance, Solution, WeightedInstance
+from .graph import (
+    Graph, MulticoloredCliqueInstance, SizeCapError, Solution, WeightedInstance
+)
+
+MAX_VERTICES = 1 << 20  # a header's n sizes per-vertex arrays and tuples
 
 
 class ParseError(ValueError):
@@ -116,9 +121,9 @@ def _csr(n: int, u, v) -> tuple[np.ndarray, np.ndarray]:
     return indptr, indices
 
 
-def _instance(graph: Graph, weights: tuple[int, ...], **kw) -> WeightedInstance:
+def _instance(n: int, u, v, weights: tuple[int, ...], **kw) -> WeightedInstance:
     try:
-        return WeightedInstance(graph, weights, **kw)
+        return WeightedInstance(Graph._adopt(n, *_csr(n, u, v)), weights, **kw)
     except ValueError as exc:  # total weight over the bound, or a bad witness
         raise ParseError(str(exc)) from None
 
@@ -129,6 +134,8 @@ def _parse_canonical(text: str) -> WeightedInstance | None:
     if head is None:
         return None
     n, m = int(head[1]), int(head[2])
+    if n > MAX_VERTICES:
+        return None  # the line loop refuses it
     lines = _scan_lines(text[head.end():])
     if lines is None:
         return None
@@ -145,8 +152,7 @@ def _parse_canonical(text: str) -> WeightedInstance | None:
         return None
     weights = np.ones(n, dtype=np.int64)
     weights[ids - 1] = vals
-    graph = Graph._adopt(n, *_csr(n, u - 1, v - 1))
-    return _instance(graph, tuple(weights.tolist()))
+    return _instance(n, u - 1, v - 1, tuple(weights.tolist()))
 
 
 def parse_instance_text(text: str) -> WeightedInstance:
@@ -202,6 +208,8 @@ def parse_instance_text(text: str) -> WeightedInstance:
                 raise ParseError("non-integer header fields", lineno)
             if n < 0 or m < 0:
                 raise ParseError("negative header fields", lineno)
+            if n > MAX_VERTICES:
+                raise SizeCapError(f"header declares {n} vertices; cap is {MAX_VERTICES}")
         elif kind in ("w", "col", "cl"):
             if n is None:
                 raise ParseError("header must come first", lineno)
@@ -241,8 +249,10 @@ def parse_instance_text(text: str) -> WeightedInstance:
     if clusters and len(clusters) != n:
         raise ParseError("cl lines must cover every vertex or none")
 
+    pairs = np.array(sorted(edges), dtype=np.int64).reshape(-1, 2)
     return _instance(
-        Graph(n, sorted(edges)),
+        n,
+        *pairs.T,
         tuple(weights.get(v, 1) for v in range(n)),
         colors=tuple(colors[v] for v in range(n)) if colors else None,
         clusters=tuple(clusters[v] for v in range(n)) if clusters else None,

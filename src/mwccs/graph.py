@@ -1,19 +1,18 @@
 """Core graph representation and the primitive predicates everything else builds on.
 
 Vertices are dense 0-based ids.  Vertex sets cross the public API as
-frozensets.  A ``Graph`` has two views of its edges, each built on first
-read from the other: adjacency sets (``adj``) and CSR arrays (``csr``).
-The chordal front end (recognition, chordal MWIS) runs its whole-graph
-passes on the arrays when ``prefers_csr`` holds, on dense graphs, and on
-the sets everywhere else; ``is_independent`` reads the sets once they are
-built and the arrays' rows before.  The bitmask searches below, the
-cover bound and the oracles work on int bitmasks, which ``Graph`` builds
-per vertex on the first read of ``mask``; the front end never pays for them.
+frozensets.  A graph built from an edge list holds adjacency sets (``adj``);
+one read from a file is adopted from CSR arrays (``csr``) and builds its
+sets from them on first read, never the other way round.  The chordal front
+end (recognition, chordal MWIS) runs its whole-graph passes on the arrays
+when ``prefers_csr`` holds, on dense adopted graphs, and on the sets
+everywhere else.  The bitmask searches below, the cover bound and the
+oracles work on int bitmasks, which ``Graph`` builds per vertex on the
+first read of ``mask``; the front end never pays for them.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -28,7 +27,7 @@ MAX_TOTAL_WEIGHT = 2**53
 # 3000-vertex one (2-vCPU host; a node's cost grows with the mask width).
 MAX_SEARCH_NODES = 1_000_000
 
-# A graph prefers its CSR arrays when 2m >= n * (CSR_MIN_DEGREE + n /
+# An adopted graph prefers its CSR arrays when 2m >= n * (CSR_MIN_DEGREE + n /
 # CSR_SCAN_VERTICES).  MCS plus the PEO check, sets against arrays (2-vCPU
 # VM, Python 3.11, numpy 2.4), on interval graphs: n=32 and degree 9, 88 /
 # 80 us; n=64, degree 19, 287 / 153 us; n=256, degree 78, 3477 / 1028 us;
@@ -82,18 +81,16 @@ def _mask_to_set(mask: int) -> frozenset[int]:
 class Graph:
     """Undirected simple graph over vertex ids {0, ..., n-1}.
 
-    Immutable after construction; safe to share across workers.  Three
-    views of the edges are built on first read and kept: the adjacency sets
-    (``adj``) unless the graph was made from them, the CSR arrays (``csr``)
-    unless it was made from them (``_adopt``, which gives an
-    ``_AdoptedGraph``), and the per-vertex bitmasks (``mask``).
-    Two threads that read a view at once may both build it; each stores an
-    equal value, so the race is idempotent and sharing stays safe.
-    ``is_chordal`` caches the PEO it verified in ``_peo``, and ``m`` its
-    count of edges, the same way.
+    Immutable after construction; safe to share across workers.  A graph
+    built from an edge list holds its adjacency sets (``adj``); one adopted
+    from CSR arrays (``_adopt``) is an ``_AdoptedGraph``.  The per-vertex
+    bitmasks (``mask``) are built on first read and kept; two threads that
+    read them at once may both build them, each storing an equal value, so
+    sharing stays safe.  ``is_chordal`` caches its verified PEO in ``_peo``.
     """
 
-    __slots__ = ("n", "adj", "_csr", "_mask", "_m", "_peo")
+    __slots__ = ("n", "adj", "_mask", "_peo")
+    prefers_csr = False  # only an _AdoptedGraph has arrays to prefer
 
     def __init__(self, n: int, edges=()):
         if n < 0:
@@ -110,49 +107,20 @@ class Graph:
             adj[v].add(u)
         self.n = n
         self.adj: tuple[frozenset[int], ...] = tuple(frozenset(s) for s in adj)
-        self._csr: tuple[np.ndarray, np.ndarray] | None = None
         self._mask: tuple[int, ...] | None = None
-        self._m: int | None = None
         self._peo: tuple[int, ...] | None = None
 
     @staticmethod
     def _adopt(n: int, indptr: np.ndarray, indices: np.ndarray) -> "Graph":
         """A graph over the CSR arrays (indptr, indices), int64, each row
         strictly ascending, whose symmetry, range and lack of self-loops the
-        caller has checked; the bulk parse builds it this way, without sets.
+        caller has checked; both parses build it this way, without sets.
         It is an ``_AdoptedGraph``, which builds them on first read."""
         g = _AdoptedGraph.__new__(_AdoptedGraph)
         indptr.flags.writeable = indices.flags.writeable = False
-        g.n, g._csr, g._m = n, (indptr, indices), indices.size // 2
+        g.n, g.csr = n, (indptr, indices)
         g._mask = g._peo = None
         return g
-
-    @property
-    def csr(self) -> tuple[np.ndarray, np.ndarray]:
-        """(indptr, indices), read-only int64 arrays: vertex v's neighbours
-        are indices[indptr[v]:indptr[v + 1]], strictly ascending."""
-        csr = self._csr
-        if csr is None:
-            rows = [sorted(s) for s in self.adj]
-            indptr = np.zeros(self.n + 1, dtype=np.int64)
-            np.cumsum([len(r) for r in rows], out=indptr[1:])
-            indices = np.fromiter(
-                itertools.chain.from_iterable(rows), dtype=np.int64, count=2 * self.m
-            )
-            indptr.flags.writeable = indices.flags.writeable = False
-            csr = self._csr = (indptr, indices)
-        return csr
-
-    @property
-    def prefers_csr(self) -> bool:
-        """True when the whole-graph passes run faster on ``csr`` than on
-        ``adj``: the graph is large and dense enough (see CSR_MIN_DEGREE).
-        No graph of at most CSR_MIN_DEGREE vertices is, so those never
-        count their edges here."""
-        n = self.n
-        return n > CSR_MIN_DEGREE and (
-            2 * self.m >= n * (CSR_MIN_DEGREE + n / CSR_SCAN_VERTICES)
-        )
 
     @property
     def mask(self) -> tuple[int, ...]:
@@ -164,10 +132,7 @@ class Graph:
 
     @property
     def m(self) -> int:
-        m = self._m
-        if m is None:
-            m = self._m = sum(map(len, self.adj)) // 2
-        return m
+        return sum(map(len, self.adj)) // 2
 
     def edges(self) -> list[tuple[int, int]]:
         return [(u, v) for u in range(self.n) for v in self.adj[u] if u < v]
@@ -204,10 +169,11 @@ def _has_sets(g: Graph) -> bool:
 
 
 class _AdoptedGraph(Graph):
-    """A Graph adopted from CSR arrays.  Its ``adj`` slot stays unset until
-    the first read, which lands in ``__getattr__`` and builds the sets from
-    the rows.  A class of its own keeps that hook off plain graphs: on
-    Python 3.11 a class with ``__getattr__`` loses the specialised slot
+    """A Graph adopted from CSR arrays, ``csr`` = (indptr, indices): v's
+    neighbours are indices[indptr[v]:indptr[v + 1]].  Its ``adj`` slot stays
+    unset until the first read, which lands in ``__getattr__`` and builds the
+    sets from the rows.  A class of its own keeps that hook off plain graphs:
+    on Python 3.11 a class with ``__getattr__`` loses the specialised slot
     read, about 25 ns more per read of ``adj``.
 
     The sets iterate as ``Graph(n, sorted(edges))``'s do: that graph adds
@@ -216,7 +182,18 @@ class _AdoptedGraph(Graph):
     one frozen straight from a list.
     """
 
-    __slots__ = ()
+    __slots__ = ("csr",)
+
+    @property
+    def m(self) -> int:
+        return self.csr[1].size // 2
+
+    @property
+    def prefers_csr(self) -> bool:  # large and dense enough: see CSR_MIN_DEGREE
+        n = self.n
+        return n > CSR_MIN_DEGREE and (
+            2 * self.m >= n * (CSR_MIN_DEGREE + n / CSR_SCAN_VERTICES)
+        )
 
     def __getattr__(self, name: str):
         # plain lookup failed: for adj, the slot is unset
@@ -224,7 +201,7 @@ class _AdoptedGraph(Graph):
             raise AttributeError(
                 f"{type(self).__name__!r} object has no attribute {name!r}"
             )
-        indptr, indices = self._csr
+        indptr, indices = self.csr
         ptr, idx = indptr.tolist(), indices.tolist()
         adj = tuple(frozenset(set(idx[a:b])) for a, b in zip(ptr, ptr[1:]))
         self.adj = adj

@@ -1,10 +1,12 @@
 import itertools
 import random
 
+import numpy as np
 import pytest
 
+from mwccs import fileformat
 from mwccs.generators import random_chordal
-from mwccs.graph import Graph
+from mwccs.graph import Graph, _AdoptedGraph
 
 
 def complete_graph(n: int) -> Graph:
@@ -72,12 +74,26 @@ def k3():
     return complete_graph(3)
 
 
+def adopted(g: Graph) -> Graph:
+    """g's twin adopted from CSR arrays, as parsing g's file gives it."""
+    pairs = np.array(sorted(g.edges()), dtype=np.int64).reshape(-1, 2)
+    return Graph._adopt(g.n, *fileformat._csr(g.n, *pairs.T))
+
+
+def as_built(g: Graph) -> Graph:
+    """g itself, whose front end runs on its adjacency sets."""
+    return g
+
+
 @pytest.fixture(params=[False, True], ids=["sets", "csr"])
 def forced_view(request, monkeypatch):
-    """Force Graph.prefers_csr each way, so that the set loops and the CSR
-    loops both run whatever a graph's density."""
-    monkeypatch.setattr(Graph, "prefers_csr", property(lambda g: request.param))
-    return request.param
+    """A view for a test to pass its graphs through, so that the set loops
+    and the CSR loops both run whatever a graph's density: each graph as
+    built, or its adopted twin with prefers_csr forced on."""
+    if not request.param:
+        return as_built
+    monkeypatch.setattr(_AdoptedGraph, "prefers_csr", True)
+    return adopted
 
 
 def disjoint_union(a: Graph, b: Graph) -> Graph:

@@ -167,13 +167,21 @@ def test_solve_mwis_on_a_dense_bulk_parse_builds_no_sets(tmp_path, capsys, monke
     write_instance(inst, path)
     code, out, err = run_cli(["solve", "mwis", str(path)], capsys)
     assert code == 0, err
-    (got,) = parsed
-    assert got.graph.prefers_csr
-    assert not _has_sets(got.graph) and got.graph._mask is None
-    # the line loop parses a commented copy, into sets, to the same document
+    # the line loop parses a commented copy and a copy with `cl` lines, onto
+    # arrays too, to the same document
+    labels = "".join(f"cl {v + 1} {v % 7}\n" for v in range(inst.graph.n))
     commented = tmp_path / "commented.iki"
     commented.write_text("c note\n" + path.read_text())
-    assert run_cli(["solve", "mwis", str(commented)], capsys) == (0, out, "")
+    labelled = tmp_path / "labelled.iki"
+    head, body = path.read_text().split("\n", 1)
+    labelled.write_text(f"{head}\n{labels}{body}")
+    for copy in (commented, labelled):
+        assert run_cli(["solve", "mwis", str(copy)], capsys) == (0, out, "")
+    assert fileformat._parse_canonical(path.read_text()) is not None
+    assert parsed[2].clusters is not None
+    for got in parsed:
+        assert got.graph.prefers_csr
+        assert not _has_sets(got.graph) and got.graph._mask is None
 
 
 def test_solve_colorful_refuses_color_30(tmp_path, capsys):
@@ -402,6 +410,40 @@ def test_randomized_family_counts_at_most_n_vertices(tmp_path, capsys):
     sol, meta = parse_solution_text(out)
     assert sol.weight == brute_mwccs(parse_instance(path), 2).weight == 5
     assert meta["trials"] == 295
+
+
+def test_budgets_past_n_solve_as_at_n(tmp_path, capsys):
+    # an answer holds at most 6 vertices, so ell = 10^6 gives the documents
+    # of ell = 6 without walking 10^6 bounds or their size splits
+    path = tmp_path / "six.iki"
+    write_instance(random_cluster_chordal_instance(6, 2, 3, 9, 1), path)
+    for problem in (["mwis"], ["mwccs", "--c", "3"]):
+        for mode in ("exhaustive", "randomized"):
+            docs = []
+            for ell in (6, 10**6):
+                start = time.perf_counter()
+                code, out, err = run_cli(
+                    ["solve", *problem[:1], str(path), *problem[1:], "--ell", str(ell),
+                     "--mode", mode],
+                    capsys,
+                )
+                assert code == 0, err
+                assert time.perf_counter() - start < 1.0
+                docs.append(out)
+            assert docs[0] == docs[1]
+
+
+def test_headers_past_the_vertex_cap_exit_3(tmp_path, capsys):
+    path = tmp_path / "huge.iki"
+    path.write_text("p iki 999999999999999999 0\n")
+    for args in (
+        ["solve", "mwis", path],
+        ["solve", "mwccs", path, "--c", "2", "--ell", "2"],
+        ["recognize", path, "--class", "chordal"],
+    ):
+        code, out, err = run_cli(list(map(str, args)), capsys)
+        assert code == 3 and out == ""
+        assert err.startswith(f"size cap: header declares {10**18 - 1} vertices; cap")
 
 
 def _path_31(tmp_path):

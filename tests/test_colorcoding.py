@@ -295,8 +295,8 @@ def test_exhaustive_cap_directs_to_randomized():
     sol.validate(inst, 3)
 
 
-def test_hash_family_cap():
-    # 18 clusters, ell=8: the exact family would need C(18, 8) x 56 x 2^8 cells
+def _eighteen_unit_clusters():
+    """28 unit-weight vertices in 18 clusters, 56 selections."""
     g, labels = random_cluster(28, 2, seed=1)
     inst = WeightedInstance(
         g,
@@ -305,6 +305,12 @@ def test_hash_family_cap():
         chordal_edges=frozenset(),
     )
     assert len(inst.parts[0]) == 18
+    return inst
+
+
+def test_hash_family_cap():
+    # 18 clusters, ell=8: the exact family would need C(18, 8) x 56 x 2^8 cells
+    inst = _eighteen_unit_clusters()
     start = time.perf_counter()
     with pytest.raises(SizeCapError, match="627314688 table cells"):
         mwis_cluster_chordal(inst, 8, EX)
@@ -313,6 +319,62 @@ def test_hash_family_cap():
     sol = mwis_cluster_chordal(inst, 8, spec)
     sol.validate(inst)
     assert len(sol.vertices) <= 8
+
+
+def test_inner_families_are_priced_on_their_runs():
+    # ell=6: C(18, 6) = 18,564 runs of 56 selections are within the cell cap
+    # but past the run cap, which ell=5's 8,568 runs are not
+    inst = _eighteen_unit_clusters()
+    assert math.comb(18, 5) * 56 <= colorcoding.MAX_RUN_SELECTIONS
+    start = time.perf_counter()
+    with pytest.raises(SizeCapError, match="18564 DP runs"):
+        mwis_cluster_chordal(inst, 6, EX)
+    assert time.perf_counter() - start < 1.0  # refused before any DP run
+    # randomized mode draws instead: ceil(e^6 ln 100) runs
+    stats: dict = {}
+    sol = mwis_cluster_chordal(inst, 6, ColoringFamilySpec(Mode.RANDOMIZED), stats)
+    assert stats["trials"] == 1858 and len(sol.vertices) <= 6
+    sol.validate(inst)
+    # ell=8 would draw ceil(e^8 ln 100) runs of 56 selections: past the cap
+    start = time.perf_counter()
+    with pytest.raises(SizeCapError, match="draws 13728 DP runs x 56 selections"):
+        mwis_cluster_chordal(inst, 8, ColoringFamilySpec(Mode.RANDOMIZED))
+    assert time.perf_counter() - start < 1.0
+
+
+def test_budgets_past_n_change_nothing(monkeypatch):
+    # the first heaviest size split gives no class more than its size, so
+    # the exhaustive walk at ell = n + 1 and n + 4 is the unpruned walk at
+    # that ell, and the answers, witnesses and trials of both modes are
+    # those at ell = n; no class query sees a bound past n
+    seen = []
+    bounded = ClusterChordalEngine.bounded_vector
+
+    def spy(self, ell, *rest):
+        seen.append(ell - self.inst.graph.n)
+        return bounded(self, ell, *rest)
+
+    monkeypatch.setattr(ClusterChordalEngine, "bounded_vector", spy)
+    for i in range(40):
+        rng = random.Random(i)
+        inst = random_cluster_chordal_instance(rng.randint(3, 7), 3, 3, 3, seed=5000 + i)
+        n, c = inst.graph.n, rng.randint(1, 3)
+        for spec in (EX, ColoringFamilySpec(Mode.RANDOMIZED, epsilon=0.1, seed=i)):
+            want: dict = {}
+            at_n = mwccs_from_mwis(inst, c, n, _brute_bounded_solver, spec, want)
+            for ell in (n + 1, n + 4):
+                stats: dict = {}
+                got = mwccs_from_mwis(inst, c, ell, _brute_bounded_solver, spec, stats)
+                if spec is EX:
+                    solver = _brute_bounded_solver
+                    _assert_matches_unpruned(got, stats, inst, c, ell, solver, EX)
+                assert (got, stats) == (at_n, want)
+            vec: dict = {}
+            at_n = mwis_cluster_chordal(inst, n, spec, vec)
+            stats = {}
+            assert mwis_cluster_chordal(inst, 10**6, spec, stats) == at_n
+            assert stats == vec
+    assert max(seen) == 0
 
 
 def test_exhaustive_inner_cluster_subsets_match_brute():

@@ -24,7 +24,13 @@ from mwccs.treedecomp import (
     verify_tree_decomposition,
 )
 
-from conftest import complete_graph, cycle_graph, interval_graph, path_graph
+from conftest import (
+    as_built,
+    complete_graph,
+    cycle_graph,
+    interval_graph,
+    path_graph,
+)
 
 
 def _clique_tree(g):
@@ -355,36 +361,36 @@ def test_best_by_color_count_bounds_cardinality():
         assert vec[c].weight == brute_colorful_is(inst).weight
 
 
-def test_chordal_mwis_examples():
-    k3 = complete_graph(3)
+def test_chordal_mwis_examples(view=as_built):
+    k3 = view(complete_graph(3))
     inst = WeightedInstance(k3, (2, 9, 4))
     assert max_weight_is_chordal(inst, is_chordal(k3)).weight == 9
-    p3 = path_graph(3)
+    p3 = view(path_graph(3))
     inst = WeightedInstance(p3, (3, 4, 3))
     sol = max_weight_is_chordal(inst, is_chordal(p3))
     assert sol.weight == 6 and sol.vertices == {0, 2}
 
 
-def test_chordal_mwis_matches_oracle():
+def test_chordal_mwis_matches_oracle(view=as_built):
     # 0-1 and 0-3 weights make ties, where the backward pass could go wrong
     for max_w in (99, 1, 3):
         for seed in range(80):
             rng = random.Random(seed)
             n = rng.randint(1, 15)
-            g = random_chordal(n, rng.randint(2, 4), seed + 7)
+            g = view(random_chordal(n, rng.randint(2, 4), seed + 7))
             inst = WeightedInstance(g, tuple(rng.randint(0, max_w) for _ in range(n)))
             got = max_weight_is_chordal(inst, is_chordal(g))
             assert got.weight == brute_mwis(inst).weight, f"max_w {max_w} seed {seed}"
 
 
-def test_chordal_mwis_requires_peo():
-    c4 = Graph(4, [(0, 1), (1, 2), (2, 3), (0, 3)])
+def test_chordal_mwis_requires_peo(view=as_built):
+    c4 = view(Graph(4, [(0, 1), (1, 2), (2, 3), (0, 3)]))
     inst = WeightedInstance(c4, (1, 1, 1, 1))
     for order in itertools.permutations(range(4)):
         with pytest.raises(ValueError):
             max_weight_is_chordal(inst, order)
     # P3 is chordal, but eliminating its middle vertex first is no PEO
-    inst = WeightedInstance(path_graph(3), (1, 1, 1))
+    inst = WeightedInstance(view(path_graph(3)), (1, 1, 1))
     with pytest.raises(ValueError):
         max_weight_is_chordal(inst, (1, 0, 2))
 
@@ -399,11 +405,11 @@ _PINNED_DENSE_MWIS = [
 def test_chordal_mwis_on_both_views(forced_view):
     # the set rows and the CSR rows give one witness; on the dense graphs
     # the dual check inside certifies it optimal
-    test_chordal_mwis_examples()
-    test_chordal_mwis_matches_oracle()
-    test_chordal_mwis_requires_peo()
+    test_chordal_mwis_examples(forced_view)
+    test_chordal_mwis_matches_oracle(forced_view)
+    test_chordal_mwis_requires_peo(forced_view)
     for seed, (n, span) in enumerate([(120, 0.4), (200, 0.3)]):
-        g = interval_graph(n, span, seed)
+        g = forced_view(interval_graph(n, span, seed))
         inst = WeightedInstance(g, tuple(random.Random(seed).choices(range(4), k=n)))
         sol = max_weight_is_chordal(inst, is_chordal(g))
         assert sol.vertices == _PINNED_DENSE_MWIS[seed]

@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -19,9 +20,9 @@ from mwccs.generators import (
     random_cluster_chordal_instance,
     random_weights,
 )
-from mwccs.graph import Graph, Solution, WeightedInstance, _has_sets
+from mwccs.graph import Graph, SizeCapError, Solution, WeightedInstance, _has_sets
 
-from conftest import interval_graph
+from conftest import adopted, interval_graph
 
 
 def test_header_only():
@@ -113,7 +114,7 @@ def _generator_instances():
 
 def _dense_instance():
     g = interval_graph(150, 0.5, 11)
-    assert g.prefers_csr
+    assert adopted(g).prefers_csr  # read from its file, it runs on the arrays
     return random_weights(WeightedInstance.unit(g), 50, 11)
 
 
@@ -137,20 +138,32 @@ def test_canonical_text_parses_like_the_line_loop():
 
 
 def test_both_parses_give_one_csr():
-    # the bulk parse hands its arrays to the graph; the line loop's graph
-    # builds them from its sets
+    # the bulk parse and the line loop both hand their arrays to the graph
+    # and build no sets; a witness reads them when the instance is made
     for inst in [*_generator_instances(), _dense_instance()]:
         text = instance_to_text(inst)
         bulk = parse_instance_text(text).graph
         loop = parse_instance_text("c note\n" + text).graph
         if not inst.has_decomposition:
-            assert not _has_sets(bulk) and bulk._csr is not None
-        assert loop._csr is None
+            assert not _has_sets(bulk) and not _has_sets(loop)
         (bptr, bidx), (lptr, lidx) = bulk.csr, loop.csr
         assert bptr.dtype == bidx.dtype == np.int64
         assert np.array_equal(bptr, lptr) and np.array_equal(bidx, lidx)
         for a, b in zip(bptr.tolist(), bptr.tolist()[1:]):
             assert (np.diff(bidx[a:b]) > 0).all()
+
+
+@pytest.mark.parametrize("n", [fileformat.MAX_VERTICES + 1, 10**18 - 1, 10**18])
+def test_headers_past_the_vertex_cap_are_refused_up_front(n):
+    # the 18-digit header is canonical, the 19-digit one is not; a comment
+    # sends each through the line loop too
+    for text in (f"p iki {n} 0\n", f"c note\np iki {n} 0\n", f"p iki {n} 1\ne 1 2\n"):
+        tracemalloc.start()
+        with pytest.raises(SizeCapError, match=f"{n} vertices; cap is"):
+            parse_instance_text(text)
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+        assert peak < 1 << 20  # nothing sized by n was allocated
 
 
 def _parity(text):

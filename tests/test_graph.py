@@ -27,6 +27,7 @@ from mwccs.graph import (
 )
 
 from conftest import (
+    adopted,
     cluster_graph,
     complete_graph,
     cycle_graph,
@@ -81,17 +82,17 @@ def test_is_independent_matches_reference():
     verdicts = {True: 0, False: 0}
     dense = [interval_graph(120, 0.4, 7), cluster_graph([70, 1, 50])]
     for g in [*mixed_graphs(150, seed=23), *dense]:
-        adopted = Graph._adopt(g.n, *g.csr)
+        twin = adopted(g)
         for _ in range(8):
             s = rng.sample(range(g.n), rng.randint(0, min(g.n, 5)))
             want = _reference_is_independent(g, s)
-            for h in (g, adopted):
+            for h in (g, twin):
                 assert is_independent(h, s) == want
                 assert is_independent(h, iter(s + s)) == want  # repeats are one vertex
             verdicts[want] += 1
-        assert not _has_sets(adopted)
+        assert not _has_sets(twin)
     assert min(verdicts.values()) > 300
-    for g in (path_graph(3), Graph._adopt(3, *path_graph(3).csr)):
+    for g in (path_graph(3), adopted(path_graph(3))):
         with pytest.raises(ValueError, match="out of range"):
             is_independent(g, [0, g.n])
         with pytest.raises(ValueError, match="out of range"):
@@ -100,17 +101,19 @@ def test_is_independent_matches_reference():
 
 def test_csr_view_matches_the_sets():
     for g in [*mixed_graphs(60, seed=3), interval_graph(120, 0.4, 7)]:
-        indptr, indices = g.csr
+        twin = adopted(g)
+        indptr, indices = twin.csr
         assert indptr.dtype == indices.dtype == np.int64
         assert not indptr.flags.writeable and not indices.flags.writeable
         rows = [indices[a:b].tolist() for a, b in zip(indptr, indptr[1:])]
         assert rows == [sorted(s) for s in g.adj]
-        assert g.csr is g.csr and indices.size == 2 * g.m
+        assert twin.m == g.m and indices.size == 2 * g.m
+        assert not _has_sets(twin)
 
 
 def test_adopted_graph_builds_its_sets_on_first_read():
     want = interval_graph(80, 0.4, 9)
-    g = Graph._adopt(want.n, *want.csr)
+    g = adopted(want)
     assert not _has_sets(g) and g.m == want.m
     with pytest.raises(AttributeError, match="no attribute 'nope'"):
         g.nope
@@ -120,19 +123,33 @@ def test_adopted_graph_builds_its_sets_on_first_read():
     assert g == want and g.adj is g.adj and _has_sets(g)
     # copy and pickle restore an adopted graph, its sets built or not
     for make in (copy.copy, lambda h: pickle.loads(pickle.dumps(h))):
-        for h in (g, Graph._adopt(want.n, *want.csr)):
+        for h in (g, adopted(want)):
             twin = make(h)
             assert twin == want and twin.m == want.m
 
 
 def test_prefers_csr_on_large_dense_graphs_only():
-    assert interval_graph(200, 0.4, 2).prefers_csr
-    assert complete_graph(60).prefers_csr
-    assert not complete_graph(33).prefers_csr  # degree 32, under 32 + 33/256
-    assert not Graph(0).prefers_csr and not Graph(5000).prefers_csr
+    # graphs read from a file, as their adopted twins are
+    assert adopted(interval_graph(200, 0.4, 2)).prefers_csr
+    assert adopted(complete_graph(60)).prefers_csr
+    assert not adopted(complete_graph(33)).prefers_csr  # degree 32 < 32 + 33/256
+    assert not adopted(Graph(0)).prefers_csr and not adopted(Graph(5000)).prefers_csr
     # cliques of 41: degree 40 passes 32 + 328/256 but not 32 + 2583/256
-    assert cluster_graph([41] * 8).prefers_csr
-    assert not cluster_graph([41] * 63).prefers_csr
+    assert adopted(cluster_graph([41] * 8)).prefers_csr
+    assert not adopted(cluster_graph([41] * 63)).prefers_csr
+
+
+def test_graphs_built_from_edges_never_prefer_csr():
+    # only a graph adopted from arrays has them; none is built from sets
+    dense = adopted(interval_graph(200, 0.4, 2))
+    built = [
+        *mixed_graphs(40, seed=5),
+        interval_graph(200, 0.4, 2),
+        complete_graph(60),
+        induced_subgraph(dense, range(150))[0],
+    ]
+    for g in built:
+        assert type(g) is Graph and not g.prefers_csr and not hasattr(g, "csr")
 
 
 def test_neighborhood():

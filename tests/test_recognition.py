@@ -7,7 +7,7 @@ import pytest
 
 from mwccs import recognition
 from mwccs.dp import max_weight_is_chordal
-from mwccs.graph import Graph, SizeCapError, WeightedInstance
+from mwccs.graph import Graph, SizeCapError, WeightedInstance, _AdoptedGraph
 from mwccs.oracle import brute_find_hole, brute_hamiltonian_cycle
 from mwccs.recognition import (
     brute_force_cluster_chordal,
@@ -28,6 +28,8 @@ from mwccs.generators import random_chordal
 from mwccs.treedecomp import clique_tree_from_peo
 
 from conftest import (
+    adopted,
+    as_built,
     cluster_graph,
     complete_bipartite,
     complete_graph,
@@ -41,28 +43,28 @@ from conftest import (
 )
 
 
-def test_mcs_and_peo_basics():
-    k3 = complete_graph(3)
+def test_mcs_and_peo_basics(view=as_built):
+    k3 = view(complete_graph(3))
     for perm in itertools.permutations(range(3)):
         assert verify_peo(k3, perm)  # every ordering of a clique works
-    c4 = cycle_graph(4)
+    c4 = view(cycle_graph(4))
     order = tuple(reversed(maximum_cardinality_search(c4)))
     assert not verify_peo(c4, order)
-    tree = Graph(6, [(0, 1), (0, 2), (1, 3), (1, 4), (2, 5)])
+    tree = view(Graph(6, [(0, 1), (0, 2), (1, 3), (1, 4), (2, 5)]))
     assert verify_peo(tree, tuple(reversed(maximum_cardinality_search(tree))))
     # P3 with ends eliminated first
-    assert verify_peo(path_graph(3), (0, 2, 1))
+    assert verify_peo(view(path_graph(3)), (0, 2, 1))
     with pytest.raises(ValueError):
         verify_peo(k3, (0, 1))
 
 
-def test_peo_memo_leaves_other_orderings_to_the_full_check(monkeypatch):
+def test_peo_memo_leaves_other_orderings_to_the_full_check(monkeypatch, view=as_built):
     full = []
     check = recognition._check_permutation
     monkeypatch.setattr(
         recognition, "_check_permutation", lambda g, o: full.append(o) or check(g, o)
     )
-    g = path_graph(5)
+    g = view(path_graph(5))
     peo = is_chordal(g)
     del full[:]
     assert verify_peo(g, iter(peo)) and full == []
@@ -287,7 +289,7 @@ def _reference_verify_peo(g, order):
     return True
 
 
-def test_verify_peo_matches_quadratic_reference():
+def test_verify_peo_matches_quadratic_reference(view=as_built):
     rng = random.Random(8)
     verdicts = {True: 0, False: 0}
     for trial in range(5000):
@@ -296,6 +298,7 @@ def test_verify_peo_matches_quadratic_reference():
             g = random_chordal(n, rng.randint(1, 5), trial)
         else:
             g = random_graph(n, rng.random(), trial)
+        g = view(g)
         orders = [list(range(n)), list(reversed(maximum_cardinality_search(g)))]
         orders.append(rng.sample(range(n), n))
         for order in orders:
@@ -355,26 +358,26 @@ def _reference_mcs(g):
     return tuple(order)
 
 
-def test_mcs_matches_bucket_reference():
+def test_mcs_matches_bucket_reference(view=as_built):
     chordal = 0
-    for g in mixed_graphs(600, seed=17):
+    for g in map(view, mixed_graphs(600, seed=17)):
         order = maximum_cardinality_search(g)
         assert order == _reference_mcs(g), g
         chordal += verify_peo(g, order[::-1])
     assert 300 < chordal < 600
-    big = complete_graph(300)
+    big = view(complete_graph(300))
     assert maximum_cardinality_search(big) == _reference_mcs(big) == tuple(range(300))
 
 
 def test_array_loops_match_the_references(monkeypatch):
-    # the tests above run the set loops on their small graphs; forced onto
-    # the CSR arrays, they check the array loops against the same
-    # references, non-permutations and the _peo memo included
-    monkeypatch.setattr(Graph, "prefers_csr", property(lambda g: True))
-    test_mcs_and_peo_basics()
-    test_peo_memo_leaves_other_orderings_to_the_full_check(monkeypatch)
-    test_mcs_matches_bucket_reference()
-    test_verify_peo_matches_quadratic_reference()
+    # the tests above run the set loops on their small graphs; on adopted
+    # twins forced onto the CSR arrays, they check the array loops against
+    # the same references, non-permutations and the _peo memo included
+    monkeypatch.setattr(_AdoptedGraph, "prefers_csr", True)
+    test_mcs_and_peo_basics(adopted)
+    test_peo_memo_leaves_other_orderings_to_the_full_check(monkeypatch, adopted)
+    test_mcs_matches_bucket_reference(adopted)
+    test_verify_peo_matches_quadratic_reference(adopted)
 
 
 def _dense_graphs():
@@ -390,12 +393,11 @@ def _dense_graphs():
 
 @pytest.mark.parametrize("on_sets", [False, True], ids=["arrays", "sets"])
 def test_dense_graphs_match_the_references(on_sets, monkeypatch):
-    # dense graphs select the arrays; forced onto the set loops, they check
-    # those on dense graphs too
-    graphs = list(_dense_graphs())
-    assert all(g.prefers_csr for g, _ in graphs)
-    if on_sets:
-        monkeypatch.setattr(Graph, "prefers_csr", property(lambda g: False))
+    # dense graphs read from a file select the arrays; as built from their
+    # edges they take the set loops, which this checks on dense graphs too
+    view = as_built if on_sets else adopted
+    graphs = [(view(g), chordal) for g, chordal in _dense_graphs()]
+    assert all(g.prefers_csr != on_sets for g, _ in graphs)
     rng = random.Random(5)
     verdicts = {True: 0, False: 0}
     for g, chordal in graphs:
@@ -419,7 +421,7 @@ def test_dense_graphs_match_the_references(on_sets, monkeypatch):
 def test_mcs_is_the_identity_on_many_components():
     # every pick is the lowest id of a large bucket
     assert maximum_cardinality_search(Graph(20000)) == tuple(range(20000))
-    triangles = cluster_graph([3] * 5000)
+    triangles = adopted(cluster_graph([3] * 5000))
     assert not triangles.prefers_csr
     assert maximum_cardinality_search(triangles) == tuple(range(15000))
     star = Graph(20001, [(0, v) for v in range(1, 20001)])
