@@ -273,6 +273,10 @@ def _cmd_recognize(args) -> int:
 
 
 def _cmd_generate(args) -> int:
+    # the parser refuses files past the vertex cap, so none is built
+    n = sum(args.class_sizes) if args.family == "mcc" else args.n
+    if n > fileformat.MAX_VERTICES:
+        raise SizeCapError(f"generate asks for {n} vertices; cap is {fileformat.MAX_VERTICES}")
     if args.family == "chordal":
         g = generators.random_chordal(args.n, args.max_clique, args.seed)
         inst = WeightedInstance.unit(g)

@@ -7,18 +7,31 @@ pairwise distinct colors from C.  Leaves score w(S); a single child is
 combined through selections grouped by their intersection with the parent
 bag (this grouping is what keeps the per-bag cost near n^alpha instead of
 n^(2*alpha)); a join bag with two equal children splits the free colors
-disjointly between the subtrees.  Both children are infeasible on any color
-set missing colors(S), so a join enumerates only the 3^(c-|colors(S)|)
-splits of the colors outside colors(S), batched over the selections of a
-bag; past 12 free colors the splits of the remaining colors run as an outer
-loop over the 3^12 pair table.
+(those outside colors(S)) disjointly between the subtrees.
+
+A join splits only the free colors that both subtrees carry.  A child's
+table is NEG wherever C misses colors(S), depends on C only through the
+colors of S and of the vertices strictly below it, and is monotone in C.
+So with P the free colors below both children, for C holding colors(S)
+
+    best[C] = max over T subset of C & P of a[C & ~(P & ~T)] + b[C & ~T] - w(S):
+
+every other free color of C goes to both sides, yet at most one side can
+use it, so each term is the value of a disjoint split, and each disjoint
+split is matched by the term of its T & P.  The tables are those of the
+full 3^(free) enumeration.  With at most _WHOLE_ROW_MAX_P colors in P, the
+2^|P| terms are read off whole rows; with more, each row is gathered onto
+its free colors and split over the pair table of P, the other free colors
+riding along as a broadcast axis, and past 12 colors in P the splits of the
+rest run as an outer loop over the 3^12 pair table.
 
 A solve computes maxima only.  The run keeps every bag's table, and
 reconstruction finds the argmax of each bag on the witness path alone: the
 first maximal member of a single-child group, the smallest maximal sub mask
 of a join.  Those tables are exactly the cells MAX_CELLS counts, and the
-joins' 3^(c-|colors(S)|) pairs are summed against MAX_JOIN_PAIRS; both caps
-refuse a solve before any table is made.
+elements the joins enumerate (2^|P| x 2^c per whole-row join row,
+3^|P| x 2^(free-|P|) per paired one) are summed against MAX_JOIN_PAIRS; both
+caps refuse a solve before any table is made.
 
 Weights use int64 arrays with a large negative sentinel for infeasible
 entries; instance construction bounds total weight so sums never wrap.
@@ -27,7 +40,7 @@ entries; instance construction bounds total weight so sums never wrap.
 from __future__ import annotations
 
 import itertools
-from functools import lru_cache
+from functools import lru_cache, reduce
 
 import numpy as np
 
@@ -48,9 +61,15 @@ MAX_COLORS = 30
 # table entries of one solve, summed over every bag's selections; a run holds
 # them all, so this also bounds its memory (1 GiB of int64 at the cap)
 MAX_CELLS = 1 << 27
-MAX_JOIN_PAIRS = 1 << 30  # (color set, sub mask) pairs split by one solve's joins
-_PAIR_TABLE_MAX_C = 12  # join pair arrays up to 3^12 rows; more free colors loop outside
-_JOIN_BLOCK = 1 << 20  # pair cells per batch of join rows, which bounds the temporaries
+MAX_JOIN_PAIRS = 1 << 30  # elements one solve's joins enumerate, as _join_elements counts
+_PAIR_TABLE_MAX_C = 12  # join pair arrays up to 3^12 rows; more shared colors loop outside
+# join rows with at most this many free colors below both children split
+# whole rows.  Replaying the 5,594 joins of two colorful-dp rounds (seeds
+# 1000-1001) six times, each bound first in turn, on one pinned vCPU of a
+# 2-vCPU VM took 7.73 s with every row in the pair form and 5.75 / 3.87 /
+# 3.39 / 3.41 / 3.71 s with this bound at 0 / 1 / 2 / 3 / 4
+_WHOLE_ROW_MAX_P = 2
+_JOIN_BLOCK = 1 << 20  # elements enumerated per batch of join rows, which bounds the temporaries
 
 
 @lru_cache(maxsize=None)
@@ -75,26 +94,22 @@ def _popcounts(c: int) -> np.ndarray:
     return np.array([x.bit_count() for x in range(1 << c)], dtype=np.int64)
 
 
+def _submasks(mask: int) -> np.ndarray:
+    """Every submask of mask, ascending: entry x spreads the bits of x over
+    the bits of mask, lowest first."""
+    sub = np.zeros(1, dtype=np.int64)
+    while mask:
+        low = mask & -mask
+        sub = np.concatenate((sub, sub | low))
+        mask ^= low
+    return sub
+
+
 @lru_cache(maxsize=None)
 def _supersets(c: int, m: int) -> np.ndarray:
     """The supersets of color mask m among c colors, ascending: entry x
-    spreads the bits of x over the colors outside m, lowest first.
-
-    Checked once per (c, m): mapped through this array, every pair of the
-    free colors' pair table splits its set C into two parts that share
-    exactly m, and the free index keeps the submask order of the real masks.
-    """
-    sup = np.array([m], dtype=np.int64)
-    for j in range(c):
-        if not m >> j & 1:
-            sup = np.concatenate([sup, sup | (1 << j)])
-    low = min(sup.size.bit_length() - 1, _PAIR_TABLE_MAX_C)
-    full_f, sub_f, other_f, _, _ = _pair_table(low)
-    sub, other = sup[sub_f], sup[other_f]
-    assert np.all((sub | other) == sup[full_f]) and np.all((sub & other) == m)
-    width = 1 << low
-    assert np.all(sup.reshape(-1, width) == (sup[::width, None] | sup[None, :width]))
-    assert np.all(np.diff(sup) > 0)
+    spreads the bits of x over the colors outside m, lowest first."""
+    sup = m | _submasks((1 << c) - 1 & ~m)
     sup.flags.writeable = False  # one cached array serves every caller
     return sup
 
@@ -112,55 +127,107 @@ def _high_splits(h: int):
             ho = (ho - 1) & rest
 
 
-def _join_rows(a_rows, b_rows, masks, ws, c: int):
-    """Join tables for selections whose color masks have one popcount.
+def _join_elements(mask: int, shared: int, c: int) -> int:
+    """Elements one colorful join row enumerates, for a selection of color
+    mask `mask` whose children carry the colors `shared` below them: with p
+    shared free colors, 2^p whole rows of 2^c up to _WHOLE_ROW_MAX_P, else
+    the 3^p pairs of the shared colors for each of the 2^(free-p) sets of
+    the other free colors."""
+    p = (shared & ~mask).bit_count()
+    if p <= _WHOLE_ROW_MAX_P:
+        return 1 << p + c
+    return 3**p << c - mask.bit_count() - p
 
-    a_rows and b_rows hold the children's rows (one per selection), masks
-    the selections' color masks and ws their weights.  Each row is gathered
-    onto its free colors and split over their pair table.
-    """
-    free = c - masks[0].bit_count()
-    low = min(free, _PAIR_TABLE_MAX_C)
-    full_f, sub_f, other_f, starts, _ = _pair_table(low)
-    sups = [_supersets(c, m) for m in masks]
-    af = np.array([row[sup] for row, sup in zip(a_rows, sups)])
-    bf = np.array([row[sup] for row, sup in zip(b_rows, sups)])
+
+def _join_whole_rows(a, b, masks, ws, shared: int, c: int) -> np.ndarray:
+    """Join tables of rows with one set both = shared & ~mask of shared free
+    colors: best[C] is the maximum over T subset of both of
+    a[C & ~(both & ~T)] + b[C & ~T], read off the children's whole rows."""
+    call = np.arange(1 << c, dtype=np.int64)
+    ms = np.array(masks, dtype=np.int64)[:, None]
+    hold = (call & ms) == ms
+    # both children are infeasible wherever C misses a selected color
+    assert not ((np.maximum(a, b) > FEAS_MIN) & ~hold).any()
+    both = shared & ~masks[0]
+    best = reduce(np.maximum, (
+        (a if t == both else a[:, call & ~(both & ~t)]) + (b if t == 0 else b[:, call & ~t])
+        for t in _submasks(both).tolist()
+    ))
+    return np.where(hold, best - np.array(ws, dtype=np.int64)[:, None], NEG)
+
+
+def _join_pair_rows(a, b, masks, ws, shared: int, c: int) -> np.ndarray:
+    """Join tables of rows with equal numbers of free colors and of shared
+    free colors both = shared & ~mask.  Each row is gathered onto the
+    supersets of its mask, laid out as (other free colors) x (both), and
+    split over the pair table of both, while the other free colors ride
+    along on both sides; past _PAIR_TABLE_MAX_C shared colors the splits of
+    the rest run as an outer loop."""
+    full = (1 << c) - 1
+    gather: dict[int, np.ndarray] = {}
+    for m in masks:
+        if m not in gather:
+            both = shared & ~m
+            gather[m] = (m | _submasks(full & ~m & ~both)[:, None] | _submasks(both)).ravel()
+    rows = np.arange(len(masks))[:, None]
+    idx = np.array([gather[m] for m in masks])
+    af, bf = a[rows, idx], b[rows, idx]
     # both children are infeasible wherever C misses a selected color, so
     # the pairs never enumerated can never win
-    assert np.count_nonzero(np.array(a_rows + b_rows) > FEAS_MIN) == (
+    assert np.count_nonzero(a > FEAS_MIN) + np.count_nonzero(b > FEAS_MIN) == (
         np.count_nonzero(af > FEAS_MIN) + np.count_nonzero(bf > FEAS_MIN)
     )
+    # one line per (row, set of other free colors), indexed by the shared ones
+    p = (shared & ~masks[0]).bit_count()
+    af, bf = af.reshape(-1, 1 << p), bf.reshape(-1, 1 << p)
+    low = min(p, _PAIR_TABLE_MAX_C)
+    _, sub_f, other_f, starts, _ = _pair_table(low)
     width = 1 << low
+    step = max(1, _JOIN_BLOCK // 3**low)  # lines per block; splits one long row
     best = np.full_like(af, NEG)
-    for hs, ho in _high_splits(free - low):
-        vals = np.take(af[:, hs * width : (hs + 1) * width], sub_f, axis=1)
-        vals += np.take(bf[:, ho * width : (ho + 1) * width], other_f, axis=1)
-        blk = best[:, (hs | ho) * width : ((hs | ho) + 1) * width]
-        np.maximum(blk, np.maximum.reduceat(vals, starts, axis=1), out=blk)
-    out = np.full((len(masks), 1 << c), NEG, dtype=np.int64)
-    for r, sup in enumerate(sups):
-        out[r, sup] = best[r] - ws[r]
+    for lo in range(0, af.shape[0], step):
+        for hs, ho in _high_splits(p - low):
+            vals = np.take(af[lo : lo + step, hs * width : (hs + 1) * width], sub_f, axis=1)
+            vals += np.take(bf[lo : lo + step, ho * width : (ho + 1) * width], other_f, axis=1)
+            blk = best[lo : lo + step, (hs | ho) * width : ((hs | ho) + 1) * width]
+            np.maximum(blk, np.maximum.reduceat(vals, starts, axis=1), out=blk)
+    out = np.full(a.shape, NEG, dtype=np.int64)
+    out[rows, idx] = best.reshape(len(masks), -1) - np.array(ws, dtype=np.int64)[:, None]
     return out
 
 
-def _join_bag(avals, bvals, meta, c: int, neg: np.ndarray):
+def _join_bag(avals, bvals, meta, shared: int, c: int, neg: np.ndarray):
     """Tables of a join bag from its two children's tables; meta holds
-    (color mask, colorful, weight) per selection, and every non-colorful
-    selection gets the run's read-only NEG row neg."""
+    (color mask, colorful, weight) per selection, shared the colors below
+    both children, and every non-colorful selection gets the run's
+    read-only NEG row neg.
+
+    A colorful row splits only its free colors in shared.  Rows with few
+    of them are batched by that set and joined on whole rows; the others
+    are batched by their numbers of free and shared free colors and joined
+    over the pair table of the shared ones.  Each batch stays under
+    _JOIN_BLOCK enumerated elements, or is one row.
+    """
     arrs: list[np.ndarray] = [neg] * len(meta)
-    by_count: dict[int, list[int]] = {}
+    batches: dict[tuple, list[int]] = {}
     for i, (mask, colorful, _) in enumerate(meta):
         if colorful:
-            by_count.setdefault(mask.bit_count(), []).append(i)
-    for count, rows in by_count.items():
-        step = max(1, _JOIN_BLOCK // 3 ** min(c - count, _PAIR_TABLE_MAX_C))
+            both = shared & ~mask
+            if both.bit_count() <= _WHOLE_ROW_MAX_P:
+                key = (_join_whole_rows, both)
+            else:
+                key = (_join_pair_rows, both.bit_count(), mask.bit_count())
+            batches.setdefault(key, []).append(i)
+    for (join, *_), rows in batches.items():
+        step = max(1, _JOIN_BLOCK // _join_elements(meta[rows[0]][0], shared, c))
         for lo in range(0, len(rows), step):
             chunk = rows[lo : lo + step]
-            out = _join_rows(
-                [avals[i] for i in chunk],
-                [bvals[i] for i in chunk],
+            out = join(
+                np.array([avals[i] for i in chunk]),
+                np.array([bvals[i] for i in chunk]),
                 [meta[i][0] for i in chunk],
                 [meta[i][2] for i in chunk],
+                shared,
                 c,
             )
             for r, i in enumerate(chunk):
@@ -216,7 +283,9 @@ class ColorfulDP:
                     sstar = s & td.bags[y]
                     moved = tuple(sorted(s - sstar))
                     link.append((sstar, moved))
-                self.single_link[x] = {"groups": groups, "link": link}
+                # the vertices of the child's bag that x forgets
+                forgot = tuple(sorted(td.bags[y] - td.bags[x]))
+                self.single_link[x] = {"groups": groups, "link": link, "forgot": forgot}
             elif len(ch) == 2:
                 assert td.bags[ch[0]] == td.bags[x] == td.bags[ch[1]]
                 self.join_children[x] = (ch[0], ch[1])
@@ -267,16 +336,28 @@ class ColorfulDP:
                 mask = sel_colmask(s)
                 meta.append((mask, mask.bit_count() == len(s), sum(w[v] for v in s)))
             sel_meta.append(meta)
+        below = [0] * len(td)  # colors of the vertices strictly below each bag
+        for x in self.order:
+            kids = td.children[x]
+            if len(kids) == 1:
+                mask = below[kids[0]]
+                for v in self.single_link[x]["forgot"]:
+                    mask |= cmask[v]
+                below[x] = mask
+            elif kids:
+                below[x] = below[kids[0]] | below[kids[1]]
+        shared = {x: below[y] & below[z] for x, (y, z) in self.join_children.items()}
         pairs = sum(
-            3 ** (c - mask.bit_count())
+            _join_elements(mask, shared[x], c)
             for x in self.join_children
             for mask, colorful, _ in sel_meta[x]
             if colorful
         )
         if pairs > MAX_JOIN_PAIRS:
             raise SizeCapError(
-                f"colorful DP joins need {pairs} subset pairs "
-                f"(3^(free colors) per colorful join row); cap is {MAX_JOIN_PAIRS}"
+                f"colorful DP joins need {pairs} subset pairs (3^p x 2^(free - p) "
+                f"per colorful join row, p its free colors below both children, "
+                f"or 2^(p+c) for p <= {_WHOLE_ROW_MAX_P}); cap is {MAX_JOIN_PAIRS}"
             )
 
         for x in self.order:
@@ -315,7 +396,7 @@ class ColorfulDP:
                     arrs.append(np.where(holds(mask), base, NEG))
             else:
                 y, z = self.join_children[x]
-                arrs = _join_bag(values[y], values[z], sel_meta[x], c, neg)
+                arrs = _join_bag(values[y], values[z], sel_meta[x], shared[x], c, neg)
             values[x] = arrs
 
         return ColorfulRun(self, colors, c, tuple(cmask), values)

@@ -8,6 +8,7 @@ import pytest
 from mwccs import recognition
 from mwccs.cli import main
 from mwccs.fileformat import (
+    MAX_VERTICES,
     instance_to_text,
     parse_instance,
     parse_solution_text,
@@ -19,7 +20,7 @@ from mwccs.generators import (
     random_weights,
 )
 from mwccs.graph import Graph, WeightedInstance, _has_sets
-from mwccs.oracle import brute_mwccs, brute_mwis
+from mwccs.oracle import brute_colorful_is, brute_mwccs, brute_mwis
 
 from conftest import cycle_graph, interval_graph, path_graph
 
@@ -202,9 +203,27 @@ def test_solve_colorful_refuses_more_than_30_colors(tmp_path, capsys):
 
 
 def test_solve_colorful_prices_the_join_pairs(tmp_path, capsys):
-    # five vertices and 20 colors are far inside the cell cap, but the
-    # binary clique tree's joins would split about 1.2e10 (color set, sub
-    # mask) pairs, minutes of work, so the solve is refused up front
+    # a spider with two legs of 19 vertices, each leg colored 1 to 19: its
+    # 120 selections x 2^20 color sets stay under the cell cap, but both
+    # children of the top join carry 18 or more free colors, and splitting
+    # them would take about 3.1e9 (color set, sub mask) pairs, minutes of
+    # work, so the solve is refused up front
+    legs = [(0, 1), (0, 20)] + [(i, i + 1) for i in (*range(1, 19), *range(20, 38))]
+    inst = WeightedInstance(
+        Graph(39, legs), tuple(range(1, 40)), colors=(20,) + tuple(range(1, 20)) * 2
+    )
+    path = tmp_path / "spider.iki"
+    write_instance(inst, path)
+    started = time.perf_counter()
+    code, out, err = run_cli(["solve", "colorful", str(path)], capsys)
+    assert time.perf_counter() - started < 1.0
+    assert code == 3 and out == ""
+    assert err.startswith("size cap: colorful DP joins need 3099363912 subset pairs")
+
+
+def test_solve_colorful_splits_only_the_colors_both_subtrees_carry(tmp_path, capsys):
+    # five vertices and 20 colors: splitting every free color of the joins
+    # would take about 1.2e10 pairs, but their subtrees share few colors
     g = Graph(5, [(0, 1), (0, 2), (3, 4), (3, 0)])
     inst = WeightedInstance(g, (1, 2, 3, 4, 5), colors=(20, 9, 12, 17, 1))
     path = tmp_path / "c20.iki"
@@ -212,8 +231,8 @@ def test_solve_colorful_prices_the_join_pairs(tmp_path, capsys):
     started = time.perf_counter()
     code, out, err = run_cli(["solve", "colorful", str(path)], capsys)
     assert time.perf_counter() - started < 1.0
-    assert code == 3 and out == ""
-    assert err.startswith("size cap: colorful DP joins need 11622614670 subset pairs")
+    assert code == 0, err
+    assert parse_solution_text(out)[0].weight == brute_colorful_is(inst).weight
 
 
 def test_solve_rejects_non_chordal(tmp_path, capsys):
@@ -444,6 +463,24 @@ def test_headers_past_the_vertex_cap_exit_3(tmp_path, capsys):
         code, out, err = run_cli(list(map(str, args)), capsys)
         assert code == 3 and out == ""
         assert err.startswith(f"size cap: header declares {10**18 - 1} vertices; cap")
+
+
+def test_generate_past_the_vertex_cap_exits_3(tmp_path, capsys):
+    # refused before anything is built: a file past the cap would not parse
+    out = tmp_path / "big.iki"
+    for n in (MAX_VERTICES + 1, 10**12):
+        half = str(n // 2)
+        for args in (
+            ["chordal", "--n", str(n)],
+            ["cluster", "--n", str(n)],
+            ["overlay", "--n", str(n)],
+            ["mcc", "--k", "2", "--class-sizes", half, str(n - n // 2)],
+        ):
+            started = time.perf_counter()
+            code, stdout, err = run_cli(["generate", *args, "-o", str(out)], capsys)
+            assert time.perf_counter() - started < 1.0
+            assert code == 3 and stdout == "" and not out.exists()
+            assert err == f"size cap: generate asks for {n} vertices; cap is {MAX_VERTICES}\n"
 
 
 def _path_31(tmp_path):

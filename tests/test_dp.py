@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from mwccs.dp import (
+    NEG,
     ColorfulDP,
     _pair_table,
     _supersets,
@@ -197,7 +198,7 @@ def test_monotone_in_colors_and_vertices():
 
 def test_join_fallback_for_large_color_counts(monkeypatch):
     # force the outer loop over the colors past the pair table, which serves
-    # selections with more than _PAIR_TABLE_MAX_C free colors
+    # join rows with more than _PAIR_TABLE_MAX_C shared free colors
     import mwccs.dp as dp_mod
 
     monkeypatch.setattr(dp_mod, "_PAIR_TABLE_MAX_C", 1)
@@ -241,7 +242,8 @@ def test_supersets_split_every_color_set_around_the_selection():
 
 
 def test_thirteen_colors_match_oracle():
-    # c = 13 puts the empty selection past the 3^12 pair table
+    # c = 13 leaves the empty selection 13 free colors, past the 3^12 pair
+    # table of the full enumeration
     joins = 0
     for seed in (3, 6, 14):
         rng = random.Random(seed)
@@ -302,8 +304,8 @@ def test_tied_witnesses_are_pinned(monkeypatch):
 
 def test_tied_witnesses_at_thirteen_colors_are_pinned():
     # recorded with a backpointer stored for every table cell; c = 13 leaves
-    # the empty selection 13 free colors, so its join rows run the splits of
-    # the color past the 3^12 pair table, and 0/1 weights tie
+    # the empty selection 13 free colors, past the 3^12 pair table of the
+    # full enumeration, and 0/1 weights tie
     joins = 0
     runs = []
     for seed in range(12):
@@ -491,3 +493,132 @@ def test_non_colorful_rows_are_one_read_only_row():
         assert not any(row.flags.writeable for row in rows), seed
         assert len({id(row) for row in rows}) <= 1, seed
     assert joined > 0
+
+
+def _reference_join(avals, bvals, meta, shared, c, neg):
+    """The full join: every colorful row split over all 3^free pairs of its
+    free colors, whatever colors the children carry."""
+    out = []
+    for a, b, (mask, colorful, w) in zip(avals, bvals, meta):
+        if not colorful:
+            out.append(neg)
+            continue
+        sup = _supersets(c, mask)
+        _, sub, other, starts, _ = _pair_table(c - mask.bit_count())
+        row = np.full(1 << c, NEG, dtype=np.int64)
+        row[sup] = np.maximum.reduceat(a[sup[sub]] + b[sup[other]], starts) - w
+        out.append(row)
+    return out
+
+
+def _subtree_colors(engine, colors, x):
+    """Color mask of the vertices in the subtree of bag x but not in x."""
+    td, seen, stack = engine.td, set(), [x]
+    while stack:
+        y = stack.pop()
+        seen |= td.bags[y]
+        stack.extend(td.children[y])
+    mask = 0
+    for v in seen - td.bags[x]:
+        mask |= (1 << colors[v]) >> 1
+    return mask
+
+
+def _reference_join_elements(engine, colors, c):
+    """What the joins enumerate, from the subtrees' vertices: per colorful
+    row with p free colors below both children, 2^p whole rows of 2^c, or
+    past dp._WHOLE_ROW_MAX_P the 3^p pairs of those colors for every set of
+    the other free colors."""
+    import mwccs.dp as dp_mod
+
+    total = 0
+    for x, (y, z) in engine.join_children.items():
+        shared = _subtree_colors(engine, colors, y) & _subtree_colors(engine, colors, z)
+        for s in engine.sels[x]:
+            mask = 0
+            for v in s:
+                mask |= (1 << colors[v]) >> 1
+            if mask.bit_count() < len(s):
+                continue
+            p = (shared & ~mask).bit_count()
+            free = c - mask.bit_count()
+            total += 2 ** (p + c) if p <= dp_mod._WHOLE_ROW_MAX_P else 3**p * 2 ** (free - p)
+    return total
+
+
+def _join_cases():
+    """(engine, colors, c): random chordal instances at alpha 1 and 2 with
+    c from 1 to 13, some vertices colored 0."""
+    for seed in range(150):
+        rng = random.Random(seed)
+        c = 1 + seed % 13
+        if seed % 3 == 2:
+            g, td, rng = _alpha_two_case(seed)
+            if not verify_tree_decomposition(g, td) or bag_alpha(g, td) > 2:
+                continue
+            alpha = 2
+        else:
+            n = rng.randint(2, 14 if c > 10 else 24)
+            g = random_chordal(n, rng.randint(2, 5), seed)
+            td, alpha = _clique_tree(g), 1
+        inst = WeightedInstance(g, tuple(rng.randint(0, 9) for _ in range(g.n)))
+        colors = tuple(rng.randint(0, c) for _ in range(g.n))
+        yield ColorfulDP(inst, td, alpha), colors, c
+
+
+def test_joins_match_the_full_enumeration(monkeypatch):
+    # every bag's table equals that of a run whose joins enumerate all
+    # 3^free splits, under the default bounds and under bounds low enough
+    # that both forms and the loop past the pair table run
+    import mwccs.dp as dp_mod
+
+    calls = {"whole": 0, "pairs": 0, "high": 0}
+    whole, pairs, high = dp_mod._join_whole_rows, dp_mod._join_pair_rows, dp_mod._high_splits
+
+    def count(key, fn, hit=lambda *a: True):
+        def wrapped(*args):
+            calls[key] += hit(*args)
+            return fn(*args)
+        return wrapped
+
+    monkeypatch.setattr(dp_mod, "_join_whole_rows", count("whole", whole))
+    monkeypatch.setattr(dp_mod, "_join_pair_rows", count("pairs", pairs))
+    monkeypatch.setattr(dp_mod, "_high_splits", count("high", high, lambda h: h > 0))
+    alphas, joins = set(), 0
+    for engine, colors, c in _join_cases():
+        with monkeypatch.context() as m:
+            m.setattr(dp_mod, "_join_bag", _reference_join)
+            want = engine.solve(colors, c).values
+        joins += len(engine.join_children)
+        alphas.add(engine.alpha)
+        for pair_max, whole_max in ((12, 2), (1, 0), (2, -1)):
+            monkeypatch.setattr(dp_mod, "_PAIR_TABLE_MAX_C", pair_max)
+            monkeypatch.setattr(dp_mod, "_WHOLE_ROW_MAX_P", whole_max)
+            got = engine.solve(colors, c).values
+            for x, (rows, ref) in enumerate(zip(got, want)):
+                assert [r.tobytes() for r in rows] == [r.tobytes() for r in ref], (
+                    f"c {c} bag {x} bounds {pair_max}/{whole_max}"
+                )
+    assert alphas == {1, 2} and joins >= 100
+    assert min(calls.values()) >= 20, calls
+
+
+def test_join_pairs_are_priced_on_what_is_enumerated(monkeypatch):
+    # a refusal names the elements the joins would enumerate, counted from
+    # the colors below each join's children; one more allowed pair solves
+    import mwccs.dp as dp_mod
+
+    priced = 0
+    for engine, colors, c in _join_cases():
+        for whole_max in (2, -1):
+            monkeypatch.setattr(dp_mod, "_WHOLE_ROW_MAX_P", whole_max)
+            want = _reference_join_elements(engine, colors, c)
+            if want == 0:
+                continue
+            monkeypatch.setattr(dp_mod, "MAX_JOIN_PAIRS", want - 1)
+            with pytest.raises(SizeCapError, match=f"joins need {want} subset pairs"):
+                engine.solve(colors, c)
+            monkeypatch.setattr(dp_mod, "MAX_JOIN_PAIRS", want)
+            engine.solve(colors, c)
+            priced += 1
+    assert priced >= 100
